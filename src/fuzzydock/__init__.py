@@ -1,106 +1,14 @@
 """Cascaded fuzzy control of a backing cab-trailer rig, plus a batch simulator.
 
-Public surface: the generic Mamdani engine (fuzzy), the two shipped
+The package root re-exports what a closed-loop run needs. The rest lives in
+the submodules: the generic Mamdani engine (fuzzy), the two shipped
 controllers and their cascade (controllers), the discrete plant (plant), the
 closed-loop runner and sweeps (simulation), and a CLI (cli).
 """
 
-from .controllers import (
-    CascadeOutput,
-    ControllerSet,
-    build_flc_c,
-    build_flc_t,
-    bundled_controllers_path,
-    cascade_step,
-    controllers_from_json,
-    controllers_to_json,
-    default_controllers,
-    flc_c,
-    flc_t,
-    load_controllers,
-)
-from .errors import DegenerateFiringWarning, InputDomainError, UsageError
-from .fuzzy import (
-    FiringVector,
-    LinguisticVariable,
-    MembershipFunction,
-    RuleBase,
-    defuzzify_centroid,
-    eval_membership,
-    fire_rules,
-    fuzzify,
-    infer,
-)
-from .plant import (
-    OUTCOME_KINDS,
-    DockTolerance,
-    Outcome,
-    PlantParams,
-    PlantState,
-    classify,
-    dock_check,
-    step,
-    step_reference,
-    wrap_angle,
-)
-from .simulation import (
-    AxisSpec,
-    ConvergenceReport,
-    Scenario,
-    SweepGrid,
-    SweepReport,
-    Trajectory,
-    TrajectorySample,
-    convergence_metric,
-    run,
-    sweep,
-)
+from .plant import PlantState
+from .simulation import Scenario, run
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxisSpec",
-    "CascadeOutput",
-    "ControllerSet",
-    "ConvergenceReport",
-    "DegenerateFiringWarning",
-    "DockTolerance",
-    "FiringVector",
-    "InputDomainError",
-    "LinguisticVariable",
-    "MembershipFunction",
-    "OUTCOME_KINDS",
-    "Outcome",
-    "PlantParams",
-    "PlantState",
-    "RuleBase",
-    "Scenario",
-    "SweepGrid",
-    "SweepReport",
-    "Trajectory",
-    "TrajectorySample",
-    "UsageError",
-    "build_flc_c",
-    "build_flc_t",
-    "bundled_controllers_path",
-    "cascade_step",
-    "classify",
-    "controllers_from_json",
-    "controllers_to_json",
-    "convergence_metric",
-    "default_controllers",
-    "defuzzify_centroid",
-    "dock_check",
-    "eval_membership",
-    "fire_rules",
-    "flc_c",
-    "flc_t",
-    "fuzzify",
-    "infer",
-    "load_controllers",
-    "run",
-    "step",
-    "step_reference",
-    "sweep",
-    "wrap_angle",
-]
+__all__ = ["PlantState", "Scenario", "run"]

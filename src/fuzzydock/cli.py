@@ -11,13 +11,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 from xml.sax.saxutils import escape
 
 from .controllers import ControllerSet, default_controllers, flc_c, flc_t, load_controllers
-from .errors import UsageError
+from .errors import InputDomainError, UsageError
 from .plant import DOCKED, DockTolerance, PlantParams, PlantState
 from .simulation import (
     AxisSpec,
@@ -25,6 +27,7 @@ from .simulation import (
     SweepGrid,
     SweepReport,
     Trajectory,
+    convergence_metric,
     run,
     sweep,
 )
@@ -43,29 +46,69 @@ def _g17(v: float) -> str:
 # -- Scenario files -----------------------------------------------------------
 
 _TOP_KEYS = {"label", "initial", "params", "tolerances", "max_steps", "mode"}
-_INITIAL_KEYS = {"x", "y", "alpha_deg", "beta_deg"}
-_PARAM_KEYS = {"v", "l_c", "l_t", "theta_max_deg", "beta_max_deg"}
-_TOL_KEYS = {"x_tol", "y_tol", "alpha_tol_deg"}
+_INITIAL_KEYS = ("x", "y", "alpha_deg", "beta_deg")
+# Document key -> dataclass field; absent keys take the dataclass default.
+_PARAM_FIELDS = {
+    "v": "v", "l_c": "l_c", "l_t": "l_t",
+    "theta_max_deg": "theta_max", "beta_max_deg": "beta_max",
+}
+_TOL_FIELDS = {"x_tol": "x_tol", "y_tol": "y_tol", "alpha_tol_deg": "alpha_tol"}
 
 
-def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
-    unknown = set(doc) - allowed
+def _check_keys(doc: dict, allowed, where: str) -> None:
+    unknown = set(doc).difference(allowed)
     if unknown:
         raise UsageError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def _object(value, allowed, where: str) -> dict:
+    """``value`` as a JSON object whose keys all lie in ``allowed``."""
+    if not isinstance(value, dict):
+        raise UsageError(f"{where} must be a JSON object, got {value!r}")
+    _check_keys(value, allowed, where)
+    return value
+
+
+def _number(value, where: str) -> float:
+    """``value`` as a finite float; JSON booleans and strings are not numbers."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise UsageError(f"{where} must be a finite number, got {value!r}")
 
 
 def _load_json(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise UsageError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"{path}: top level must be a JSON object")
     return doc
+
+
+def _plant_settings(doc: dict, path: Path) -> tuple[PlantParams, DockTolerance, int]:
+    """The params, tolerances and max_steps shared by scenario and grid
+    documents."""
+    par = _object(doc.get("params", {}), _PARAM_FIELDS, f"{path}: params")
+    tol = _object(doc.get("tolerances", {}), _TOL_FIELDS, f"{path}: tolerances")
+    params = PlantParams(
+        **{_PARAM_FIELDS[k]: _number(v, f"{path}: params.{k}") for k, v in par.items()}
+    )
+    tolerances = DockTolerance(
+        **{_TOL_FIELDS[k]: _number(v, f"{path}: tolerances.{k}") for k, v in tol.items()}
+    )
+    return params, tolerances, int(_number(doc.get("max_steps", 1000), f"{path}: max_steps"))
 
 
 def load_scenario_file(path: Path) -> Scenario:
@@ -75,36 +118,17 @@ def load_scenario_file(path: Path) -> Scenario:
     _check_keys(doc, _TOP_KEYS, str(path))
     if "initial" not in doc:
         raise UsageError(f"{path}: missing required key 'initial'")
-    init = doc["initial"]
-    _check_keys(init, _INITIAL_KEYS, f"{path} initial")
-    missing = _INITIAL_KEYS - set(init)
+    init = _object(doc["initial"], _INITIAL_KEYS, f"{path}: initial")
+    missing = set(_INITIAL_KEYS) - set(init)
     if missing:
         raise UsageError(f"{path}: initial is missing {sorted(missing)}")
-    initial = PlantState(
-        float(init["x"]), float(init["y"]),
-        float(init["alpha_deg"]), float(init["beta_deg"]),
-    )
-    par = doc.get("params", {})
-    _check_keys(par, _PARAM_KEYS, f"{path} params")
-    params = PlantParams(
-        v=float(par.get("v", 1.0)),
-        l_c=float(par.get("l_c", 2.0)),
-        l_t=float(par.get("l_t", 8.0)),
-        theta_max=float(par.get("theta_max_deg", 30.0)),
-        beta_max=float(par.get("beta_max_deg", 30.0)),
-    )
-    tol = doc.get("tolerances", {})
-    _check_keys(tol, _TOL_KEYS, f"{path} tolerances")
-    tolerances = DockTolerance(
-        x_tol=float(tol.get("x_tol", 2.0)),
-        y_tol=float(tol.get("y_tol", 1.0)),
-        alpha_tol=float(tol.get("alpha_tol_deg", 10.0)),
-    )
+    initial = PlantState(*(_number(init[k], f"{path}: initial.{k}") for k in _INITIAL_KEYS))
+    params, tolerances, max_steps = _plant_settings(doc, path)
     return Scenario(
         initial=initial,
         params=params,
         tolerances=tolerances,
-        max_steps=int(doc.get("max_steps", 1000)),
+        max_steps=max_steps,
         mode=str(doc.get("mode", "cascade")),
         label=str(doc.get("label", "")),
     )
@@ -156,8 +180,6 @@ _TICK_EVERY = 20
 def write_trajectory_svg(path: Path, label: str, trajectories: Sequence[Trajectory]) -> None:
     """Planar plot: one polyline per mode, dock marker at the origin, short
     heading ticks along each curve."""
-    import math
-
     xs = [0.0]
     ys = [0.0]
     for t in trajectories:
@@ -220,15 +242,9 @@ def _resolve_controllers(args: argparse.Namespace) -> ControllerSet:
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario_file(Path(args.scenario))
     if args.mode is not None:
-        scenario = Scenario(
-            scenario.initial, scenario.params, scenario.tolerances,
-            scenario.max_steps, args.mode, scenario.label,
-        )
+        scenario = replace(scenario, mode=args.mode)
     if args.max_steps is not None:
-        scenario = Scenario(
-            scenario.initial, scenario.params, scenario.tolerances,
-            args.max_steps, scenario.mode, scenario.label,
-        )
+        scenario = replace(scenario, max_steps=args.max_steps)
     controllers = _resolve_controllers(args)
     result = run(scenario, controllers)
     trajectories = list(result) if isinstance(result, tuple) else [result]
@@ -237,18 +253,26 @@ def cmd_run(args: argparse.Namespace) -> int:
     write_trajectory_csv(out / "trajectory.csv", trajectories)
     write_outcome_json(out / "outcome.json", scenario.label, trajectories)
     write_trajectory_svg(out / "trajectory.svg", scenario.label, trajectories)
+    name = scenario.label or Path(args.scenario).stem
     for t in trajectories:
         fs = t.outcome.final_state
         print(
-            f"{scenario.label or Path(args.scenario).stem} [{t.mode}]: "
+            f"{name} [{t.mode}]: "
             f"{t.outcome.kind} after {t.outcome.steps} steps at "
             f"x={fs.x:.2f} y={fs.y:.2f} alpha={fs.alpha:.2f}"
+        )
+    if len(trajectories) == 2:
+        report = convergence_metric(*trajectories)
+        print(
+            f"{name} [separation]: peak {max(report.distances):.2f}, "
+            f"last-10-step mean {report.tail_mean:.2f}"
         )
     return 0 if all(t.outcome.kind == DOCKED for t in trajectories) else 2
 
 
 _GRID_KEYS = {"axes", "params", "tolerances", "max_steps", "label"}
 _AXIS_KEYS = {"min", "max", "count"}
+_AXIS_NAMES = ("x", "y", "alpha", "beta")
 
 
 def load_grid_file(path: Path) -> tuple[SweepGrid, PlantParams, DockTolerance, int]:
@@ -256,35 +280,18 @@ def load_grid_file(path: Path) -> tuple[SweepGrid, PlantParams, DockTolerance, i
     _check_keys(doc, _GRID_KEYS, str(path))
     if "axes" not in doc:
         raise UsageError(f"{path}: missing required key 'axes'")
-    axes = doc["axes"]
-    _check_keys(axes, {"x", "y", "alpha", "beta"}, f"{path} axes")
+    axes = _object(doc["axes"], _AXIS_NAMES, f"{path}: axes")
     specs = {}
-    for name in ("x", "y", "alpha", "beta"):
+    for name in _AXIS_NAMES:
         if name not in axes:
             raise UsageError(f"{path}: axes is missing {name!r}")
-        ax = axes[name]
-        _check_keys(ax, _AXIS_KEYS, f"{path} axes.{name}")
+        ax = _object(axes[name], _AXIS_KEYS, f"{path}: axes.{name}")
         missing = _AXIS_KEYS - set(ax)
         if missing:
             raise UsageError(f"{path}: axes.{name} is missing {sorted(missing)}")
-        specs[name] = AxisSpec(float(ax["min"]), float(ax["max"]), int(ax["count"]))
-    par = doc.get("params", {})
-    _check_keys(par, _PARAM_KEYS, f"{path} params")
-    params = PlantParams(
-        v=float(par.get("v", 1.0)),
-        l_c=float(par.get("l_c", 2.0)),
-        l_t=float(par.get("l_t", 8.0)),
-        theta_max=float(par.get("theta_max_deg", 30.0)),
-        beta_max=float(par.get("beta_max_deg", 30.0)),
-    )
-    tol = doc.get("tolerances", {})
-    _check_keys(tol, _TOL_KEYS, f"{path} tolerances")
-    tolerances = DockTolerance(
-        x_tol=float(tol.get("x_tol", 2.0)),
-        y_tol=float(tol.get("y_tol", 1.0)),
-        alpha_tol=float(tol.get("alpha_tol_deg", 10.0)),
-    )
-    return SweepGrid(**specs), params, tolerances, int(doc.get("max_steps", 1000))
+        lo, hi, count = (_number(ax[k], f"{path}: axes.{name}.{k}") for k in ("min", "max", "count"))
+        specs[name] = AxisSpec(lo, hi, int(count))
+    return SweepGrid(**specs), *_plant_settings(doc, path)
 
 
 def write_sweep_csv(path: Path, report: SweepReport) -> None:
@@ -326,24 +333,20 @@ def cmd_surface(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"surface_{args.controller}.csv"
+    n = args.resolution
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if args.controller == "flc_t":
-            lo_a, hi_a = controllers.flc_t.antecedents[0].universe
-            lo_x, hi_x = controllers.flc_t.antecedents[1].universe
+            (lo_a, hi_a), (lo_x, hi_x) = (v.universe for v in controllers.flc_t.antecedents)
+            alphas = AxisSpec(lo_a, hi_a, n).values()
             writer.writerow(("x", "alpha_deg", "beta_prime_deg"))
-            n = args.resolution
-            for i in range(n):
-                x = lo_x + (hi_x - lo_x) * i / (n - 1)
-                for j in range(n):
-                    alpha = lo_a + (hi_a - lo_a) * j / (n - 1)
+            for x in AxisSpec(lo_x, hi_x, n).values():
+                for alpha in alphas:
                     writer.writerow([_g17(x), _g17(alpha), _g17(flc_t(x, alpha, controllers))])
         else:
             lo_g, hi_g = controllers.flc_c.antecedents[0].universe
             writer.writerow(("gamma_deg", "theta_deg"))
-            n = args.resolution
-            for i in range(n):
-                gamma = lo_g + (hi_g - lo_g) * i / (n - 1)
+            for gamma in AxisSpec(lo_g, hi_g, n).values():
                 writer.writerow([_g17(gamma), _g17(flc_c(gamma, controllers))])
     print(f"wrote {path}")
     return 0
@@ -391,7 +394,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, OSError) as exc:
+    except (UsageError, InputDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -149,17 +149,19 @@ class CascadeOutput:
     theta: float
 
 
-def cascade_step(state, controllers: ControllerSet | None = None) -> CascadeOutput:
-    """Evaluate the full cascade at a plant state.
+def position_command(state, controllers: ControllerSet | None = None) -> tuple[float, float]:
+    """The commanded cab angle beta' at a plant state and the mismatch
+    gamma = beta' - beta, clamped to [-60, 60] defensively; with beta held
+    inside [-30, 30] by the plant the clamp is a no-op."""
+    beta_prime = flc_t(state.x, state.alpha, controllers)
+    return beta_prime, min(max(beta_prime - state.beta, -GAMMA_LIMIT), GAMMA_LIMIT)
 
-    gamma is clamped to [-60, 60] defensively; with beta held inside
-    [-30, 30] by the plant the clamp is a no-op.
-    """
+
+def cascade_step(state, controllers: ControllerSet | None = None) -> CascadeOutput:
+    """Evaluate the full cascade at a plant state."""
     cs = controllers or default_controllers()
-    beta_prime = flc_t(state.x, state.alpha, cs)
-    gamma = min(max(beta_prime - state.beta, -GAMMA_LIMIT), GAMMA_LIMIT)
-    theta = flc_c(gamma, cs)
-    return CascadeOutput(beta_prime, gamma, theta)
+    beta_prime, gamma = position_command(state, cs)
+    return CascadeOutput(beta_prime, gamma, flc_c(gamma, cs))
 
 
 # -- Persistence --------------------------------------------------------------

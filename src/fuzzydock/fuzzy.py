@@ -139,12 +139,6 @@ class LinguisticVariable:
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.terms)
 
-    def membership(self, label: str) -> MembershipFunction:
-        for candidate, mf in self.terms:
-            if candidate == label:
-                return mf
-        raise UsageError(f"no term {label!r} in variable {self.name!r}")
-
 
 def fuzzify(var: LinguisticVariable, u: float) -> dict[str, float]:
     """Degrees of all terms at ``u``, clamped to the universe first."""

@@ -15,6 +15,10 @@ from .errors import InputDomainError, UsageError
 # A run that drifts past three times the controller's input span is lost.
 OUT_OF_BOUNDS_X = 300.0
 
+# Cab angle past which the rig counts as jackknifed; the physical abort
+# threshold, above any operating clamp.
+JACKKNIFE_LIMIT = 90.0
+
 LIVE = "live"
 DOCKED = "docked"
 JACKKNIFED = "jackknifed"
@@ -37,10 +41,6 @@ def _cosd(a: float) -> float:
 
 def _asind(v: float) -> float:
     return math.degrees(math.asin(v))
-
-
-def _clamp(v: float, lo: float, hi: float) -> float:
-    return min(max(v, lo), hi)
 
 
 def wrap_angle(a: float) -> float:
@@ -71,9 +71,9 @@ class PlantState:
 class PlantParams:
     """v: distance backed per step; l_c, l_t: cab and trailer lengths.
 
-    beta_max is the operating clamp on the cab angle; jackknife_limit is the
-    physical abort threshold. clamp_beta switches the operating clamp off for
-    experiments that let the cab swing freely up to the abort threshold.
+    beta_max is the operating clamp on the cab angle, at most
+    JACKKNIFE_LIMIT. v may not exceed either length, which keeps the asin
+    arguments of ``step`` within [-1, 1].
     """
 
     v: float = 1.0
@@ -81,16 +81,17 @@ class PlantParams:
     l_t: float = 8.0
     theta_max: float = 30.0
     beta_max: float = 30.0
-    jackknife_limit: float = 90.0
-    clamp_beta: bool = True
 
     def __post_init__(self) -> None:
-        if self.v <= 0 or self.l_c <= 0 or self.l_t <= 0:
-            raise UsageError("v, l_c, l_t must be positive")
+        if not (self.l_c > 0 and self.l_t > 0):
+            raise UsageError("l_c, l_t must be positive")
+        shortest = min(self.l_c, self.l_t)
+        if not 0 < self.v <= shortest:
+            raise UsageError(f"v must be in (0, min(l_c, l_t)] = (0, {shortest}], got {self.v}")
         if not 0 < self.theta_max <= 90:
             raise UsageError("theta_max must be in (0, 90]")
-        if not 0 < self.beta_max <= self.jackknife_limit:
-            raise UsageError("beta_max must be in (0, jackknife_limit]")
+        if not 0 < self.beta_max <= JACKKNIFE_LIMIT:
+            raise UsageError(f"beta_max must be in (0, {JACKKNIFE_LIMIT}]")
 
 
 @dataclass(frozen=True)
@@ -109,28 +110,33 @@ class Outcome:
     steps: int
 
 
+def _trailer_motion(state: PlantState, d_c: float, params: PlantParams) -> tuple[float, float, float]:
+    """Trailer x, y and alpha after the cab moves d_c along its heading."""
+    d_t = d_c * _cosd(state.beta)
+    x = state.x + d_t * _sind(state.alpha)
+    y = state.y + d_t * _cosd(state.alpha)
+    alpha = wrap_angle(state.alpha - _asind(d_c * _sind(state.beta) / params.l_t))
+    return x, y, alpha
+
+
 def step(state: PlantState, theta: float, params: PlantParams = PlantParams()) -> PlantState:
     """One backing update under steering angle theta.
 
     Update order: cab displacement, trailer displacement, position, trailer
-    heading, cab angle. The asin arguments are clamped to [-1, 1]; with
-    v <= min(l_c, l_t) the clamps can never bind.
+    heading, cab angle. PlantParams keeps v <= min(l_c, l_t), so both asin
+    arguments stay within [-1, 1].
     """
     state.require_finite()
     if not math.isfinite(theta):
         raise InputDomainError(f"non-finite steering angle {theta!r}")
     if abs(theta) > params.theta_max:
         raise UsageError(f"|theta| = {abs(theta)} exceeds theta_max = {params.theta_max}")
-    d_c = -params.v * _cosd(theta)
-    d_t = d_c * _cosd(state.beta)
-    x = state.x + d_t * _sind(state.alpha)
-    y = state.y + d_t * _cosd(state.alpha)
-    alpha = wrap_angle(state.alpha - _asind(_clamp(d_c * _sind(state.beta) / params.l_t, -1.0, 1.0)))
-    beta = state.beta - _asind(_clamp(-params.v * _sind(theta) / params.l_c, -1.0, 1.0))
+    x, y, alpha = _trailer_motion(state, -params.v * _cosd(theta), params)
+    beta = state.beta - _asind(-params.v * _sind(theta) / params.l_c)
     # A cab angle past the abort threshold must stay visible to classify();
     # the operating clamp only applies inside the workable range.
-    if abs(beta) <= params.jackknife_limit and params.clamp_beta:
-        beta = _clamp(beta, -params.beta_max, params.beta_max)
+    if abs(beta) <= JACKKNIFE_LIMIT:
+        beta = min(max(beta, -params.beta_max), params.beta_max)
     return PlantState(x, y, alpha, beta)
 
 
@@ -147,12 +153,7 @@ def step_reference(state: PlantState, beta_command: float, params: PlantParams =
         raise UsageError(
             f"|beta_command| = {abs(beta_command)} exceeds beta_max = {params.beta_max}"
         )
-    d_c = -params.v
-    d_t = d_c * _cosd(state.beta)
-    x = state.x + d_t * _sind(state.alpha)
-    y = state.y + d_t * _cosd(state.alpha)
-    alpha = wrap_angle(state.alpha - _asind(_clamp(d_c * _sind(state.beta) / params.l_t, -1.0, 1.0)))
-    return PlantState(x, y, alpha, beta_command)
+    return PlantState(*_trailer_motion(state, -params.v, params), beta_command)
 
 
 def dock_check(state: PlantState, tol: DockTolerance = DockTolerance()) -> bool:
@@ -162,7 +163,6 @@ def dock_check(state: PlantState, tol: DockTolerance = DockTolerance()) -> bool:
 def classify(
     state: PlantState,
     step_count: int,
-    params: PlantParams = PlantParams(),
     tol: DockTolerance = DockTolerance(),
     max_steps: int = 1000,
 ) -> str:
@@ -170,7 +170,7 @@ def classify(
     insufficient-space, out-of-bounds, timeout."""
     if dock_check(state, tol):
         return DOCKED
-    if abs(state.beta) > params.jackknife_limit:
+    if abs(state.beta) > JACKKNIFE_LIMIT:
         return JACKKNIFED
     if state.y <= 0.0:
         return INSUFFICIENT_SPACE

@@ -12,20 +12,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Mapping
 
 from .controllers import (
-    GAMMA_LIMIT,
     CascadeOutput,
     ControllerSet,
     cascade_step,
     default_controllers,
-    flc_t,
+    position_command,
 )
 from .errors import InputDomainError, UsageError
 from .plant import (
     DOCKED,
     ERROR,
+    JACKKNIFE_LIMIT,
     LIVE,
     DockTolerance,
     Outcome,
@@ -62,10 +63,10 @@ class Scenario:
             raise UsageError(f"initial.x must be within [-100, 100], got {self.initial.x}")
         if abs(self.initial.alpha) > 180:
             raise UsageError(f"initial.alpha must be within [-180, 180], got {self.initial.alpha}")
-        if abs(self.initial.beta) > self.params.jackknife_limit:
+        if abs(self.initial.beta) > JACKKNIFE_LIMIT:
             raise UsageError(
                 f"initial.beta must be within the jackknife limit "
-                f"{self.params.jackknife_limit}, got {self.initial.beta}"
+                f"{JACKKNIFE_LIMIT}, got {self.initial.beta}"
             )
 
 
@@ -87,14 +88,6 @@ class Trajectory:
     mode: str
 
 
-def _reference_output(state: PlantState, controllers: ControllerSet) -> CascadeOutput:
-    # The reference vehicle steers nothing (theta 0); gamma is kept as the
-    # commanded jump so both modes log comparable columns.
-    beta_prime = flc_t(state.x, state.alpha, controllers)
-    gamma = min(max(beta_prime - state.beta, -GAMMA_LIMIT), GAMMA_LIMIT)
-    return CascadeOutput(beta_prime, gamma, 0.0)
-
-
 def run(scenario: Scenario, controllers: ControllerSet | None = None):
     """Simulate a scenario to termination.
 
@@ -108,25 +101,36 @@ def run(scenario: Scenario, controllers: ControllerSet | None = None):
             run(replace(scenario, mode="reference"), controllers),
         )
     cs = controllers or default_controllers()
+    params, tolerances, max_steps = scenario.params, scenario.tolerances, scenario.max_steps
+    # Each mode is a control law plus a plant advance, chosen here once so
+    # the loop below never looks at the mode.
+    if scenario.mode == "cascade":
+        control = partial(cascade_step, controllers=cs)
+
+        def advance(state: PlantState, out: CascadeOutput) -> PlantState:
+            return step(state, out.theta, params)
+    else:
+        # The reference vehicle steers nothing (theta 0); gamma is kept as
+        # the commanded jump so both modes log comparable columns.
+        def control(state: PlantState) -> CascadeOutput:
+            return CascadeOutput(*position_command(state, cs), 0.0)
+
+        def advance(state: PlantState, out: CascadeOutput) -> PlantState:
+            command = min(max(out.beta_prime, -params.beta_max), params.beta_max)
+            return step_reference(state, command, params)
+
     samples: list[TrajectorySample] = []
     state = scenario.initial
     t = 0
     try:
         while True:
-            kind = classify(state, t, scenario.params, scenario.tolerances, scenario.max_steps)
-            if scenario.mode == "cascade":
-                out = cascade_step(state, cs)
-            else:
-                out = _reference_output(state, cs)
+            kind = classify(state, t, tolerances, max_steps)
+            out = control(state)
             samples.append(TrajectorySample(t, state, out.beta_prime, out.gamma, out.theta))
             if kind != LIVE:
                 outcome = Outcome(kind, state, t)
                 break
-            if scenario.mode == "cascade":
-                state = step(state, out.theta, scenario.params)
-            else:
-                command = min(max(out.beta_prime, -scenario.params.beta_max), scenario.params.beta_max)
-                state = step_reference(state, command, scenario.params)
+            state = advance(state, out)
             t += 1
     except (InputDomainError, UsageError):
         if not samples:

@@ -155,6 +155,20 @@ class TestRunCommand:
         swapped = read_csv(tmp_path / "b" / "trajectory.csv")
         assert float(swapped[1][7]) == pytest.approx(float(base[1][7]) / 2, rel=1e-12)
 
+    def test_both_mode_prints_separation(self, tmp_path, capsys):
+        doc = write_doc(
+            tmp_path, "s.json", scenario_doc(-60.0, 120.0, 30.0, 0.0, mode="both")
+        )
+        main(["run", "--scenario", str(doc), "--out", str(tmp_path / "both")])
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert lines[2].startswith("case [separation]: peak ")
+        assert "last-10-step mean" in lines[2]
+
+        main(["run", "--scenario", str(doc), "--out", str(tmp_path / "one"),
+              "--mode", "cascade"])
+        assert "separation" not in capsys.readouterr().out
+
     def test_bundled_scenario_files_load_and_dock(self, tmp_path):
         files = sorted(REPO_SCENARIOS.glob("*.json"))
         assert len(files) == 3
@@ -205,6 +219,59 @@ class TestScenarioFileErrors:
         code = main(["run", "--scenario", str(p), "--out", str(tmp_path)])
         assert code == 1
         assert "object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb, key, value",
+        [
+            ("run", "initial", 5),
+            ("run", "initial.x", "abc"),
+            ("run", "initial.x", float("nan")),
+            pytest.param("run", "initial.x", 10**400, id="run-initial.x-overflow"),
+            ("run", "initial.y", True),
+            ("run", "max_steps", "x"),
+            ("run", "max_steps", float("inf")),
+            ("run", "params", {"v": None}),
+            ("run", "params", {"v": 5.0}),
+            ("run", "tolerances", [1.0]),
+            ("sweep", "axes", 5),
+            ("sweep", "axes.x", [0, 0, 1]),
+            ("sweep", "axes.x.min", "a"),
+            ("sweep", "axes.x.min", float("nan")),
+            ("sweep", "max_steps", "x"),
+            ("sweep", "params", {"v": None}),
+            ("sweep", "tolerances", {"x_tol": "2"}),
+        ],
+    )
+    def test_malformed_document_gives_one_error_line(self, tmp_path, capsys, verb, key, value):
+        if verb == "run":
+            doc = scenario_doc(0.0, 50.0, 0.0, 0.0)
+        else:
+            doc = grid_doc((0, 0, 1), (50, 50, 1), (0, 0, 1), (0, 0, 1))
+        *parents, last = key.split(".")
+        target = doc
+        for k in parents:
+            target = target[k]
+        target[last] = value
+        p = write_doc(tmp_path, "doc.json", doc)
+        code = main([verb, "--scenario", str(p), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b'{"initial": {"x": 1' + b"0" * 5000 + b"}}"],
+        ids=["not-utf8", "huge-integer"],
+    )
+    def test_unparseable_file_gives_one_error_line(self, tmp_path, capsys, content):
+        p = tmp_path / "s.json"
+        p.write_bytes(content)
+        code = main(["run", "--scenario", str(p), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
 
     def test_unwritable_out_dir(self, tmp_path, capsys):
         doc = write_doc(tmp_path, "s.json", scenario_doc(0.0, 50.0, 0.0, 0.0))
