@@ -20,6 +20,7 @@ from xml.sax.saxutils import escape
 
 from .controllers import ControllerSet, default_controllers, flc_c, flc_t, load_controllers
 from .errors import InputDomainError, UsageError
+from .fuzzy import json_number, load_json
 from .plant import DOCKED, DockTolerance, PlantParams, PlantState
 from .simulation import (
     AxisSpec,
@@ -69,52 +70,24 @@ def _object(value, allowed, where: str) -> dict:
     return value
 
 
-def _number(value, where: str) -> float:
-    """``value`` as a finite float; JSON booleans and strings are not numbers."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise UsageError(f"{where} must be a finite number, got {value!r}")
-
-
-def _load_json(path: Path) -> dict:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal past Python's digit limit
-        raise UsageError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise UsageError(f"{path}: top level must be a JSON object")
-    return doc
-
-
 def _plant_settings(doc: dict, path: Path) -> tuple[PlantParams, DockTolerance, int]:
     """The params, tolerances and max_steps shared by scenario and grid
     documents."""
     par = _object(doc.get("params", {}), _PARAM_FIELDS, f"{path}: params")
     tol = _object(doc.get("tolerances", {}), _TOL_FIELDS, f"{path}: tolerances")
     params = PlantParams(
-        **{_PARAM_FIELDS[k]: _number(v, f"{path}: params.{k}") for k, v in par.items()}
+        **{_PARAM_FIELDS[k]: json_number(v, f"{path}: params.{k}") for k, v in par.items()}
     )
     tolerances = DockTolerance(
-        **{_TOL_FIELDS[k]: _number(v, f"{path}: tolerances.{k}") for k, v in tol.items()}
+        **{_TOL_FIELDS[k]: json_number(v, f"{path}: tolerances.{k}") for k, v in tol.items()}
     )
-    return params, tolerances, int(_number(doc.get("max_steps", 1000), f"{path}: max_steps"))
+    return params, tolerances, int(json_number(doc.get("max_steps", 1000), f"{path}: max_steps"))
 
 
 def load_scenario_file(path: Path) -> Scenario:
     """Parse a scenario document; unknown keys are rejected, missing optional
     sections take the library defaults."""
-    doc = _load_json(path)
+    doc = load_json(path)
     _check_keys(doc, _TOP_KEYS, str(path))
     if "initial" not in doc:
         raise UsageError(f"{path}: missing required key 'initial'")
@@ -122,7 +95,7 @@ def load_scenario_file(path: Path) -> Scenario:
     missing = set(_INITIAL_KEYS) - set(init)
     if missing:
         raise UsageError(f"{path}: initial is missing {sorted(missing)}")
-    initial = PlantState(*(_number(init[k], f"{path}: initial.{k}") for k in _INITIAL_KEYS))
+    initial = PlantState(*(json_number(init[k], f"{path}: initial.{k}") for k in _INITIAL_KEYS))
     params, tolerances, max_steps = _plant_settings(doc, path)
     return Scenario(
         initial=initial,
@@ -276,7 +249,7 @@ _AXIS_NAMES = ("x", "y", "alpha", "beta")
 
 
 def load_grid_file(path: Path) -> tuple[SweepGrid, PlantParams, DockTolerance, int]:
-    doc = _load_json(path)
+    doc = load_json(path)
     _check_keys(doc, _GRID_KEYS, str(path))
     if "axes" not in doc:
         raise UsageError(f"{path}: missing required key 'axes'")
@@ -289,7 +262,9 @@ def load_grid_file(path: Path) -> tuple[SweepGrid, PlantParams, DockTolerance, i
         missing = _AXIS_KEYS - set(ax)
         if missing:
             raise UsageError(f"{path}: axes.{name} is missing {sorted(missing)}")
-        lo, hi, count = (_number(ax[k], f"{path}: axes.{name}.{k}") for k in ("min", "max", "count"))
+        lo, hi, count = (
+            json_number(ax[k], f"{path}: axes.{name}.{k}") for k in ("min", "max", "count")
+        )
         specs[name] = AxisSpec(lo, hi, int(count))
     return SweepGrid(**specs), *_plant_settings(doc, path)
 

@@ -22,6 +22,7 @@ from .fuzzy import (
     MembershipFunction,
     RuleBase,
     infer,
+    load_json,
     rulebase_from_dict,
     rulebase_to_dict,
 )
@@ -171,22 +172,18 @@ def controllers_to_json(cs: ControllerSet) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def controllers_from_json(text: str) -> ControllerSet:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"malformed controller document: {exc}") from exc
-    if not isinstance(doc, dict) or set(doc) != {"flc_t", "flc_c"}:
-        raise UsageError("controller document must have exactly the keys flc_t, flc_c")
-    rb_t = rulebase_from_dict(doc["flc_t"])
-    rb_c = rulebase_from_dict(doc["flc_c"])
+def controllers_from_dict(doc: dict, where: str = "controller document") -> ControllerSet:
+    if set(doc) != {"flc_t", "flc_c"}:
+        raise UsageError(f"{where} must have exactly the keys flc_t, flc_c")
+    rb_t = rulebase_from_dict(doc["flc_t"], f"{where}: flc_t")
+    rb_c = rulebase_from_dict(doc["flc_c"], f"{where}: flc_c")
     if len(rb_t.antecedents) != 2 or len(rb_c.antecedents) != 1:
-        raise UsageError("flc_t needs two antecedent variables and flc_c one")
+        raise UsageError(f"{where}: flc_t needs two antecedent variables and flc_c one")
     return ControllerSet(rb_t, rb_c)
 
 
 def load_controllers(path: str | Path) -> ControllerSet:
-    return controllers_from_json(Path(path).read_text(encoding="utf-8"))
+    return controllers_from_dict(load_json(Path(path)), str(path))
 
 
 def bundled_controllers_path() -> Path:

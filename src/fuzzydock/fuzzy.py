@@ -11,14 +11,23 @@ weighted sum of consequents reduces to
     sum_r w_r * centroid_r * area_r / sum_r w_r * area_r
 
 which is what ``defuzzify_centroid`` evaluates in closed form.
+
+Each RuleBase is compiled once, when it is built: the rule index of every
+antecedent-label tuple and each rule's consequent (area, centroid). Firing
+then multiplies only the combinations of nonzero degrees, since any product
+with a zero degree is zero, and the centroid sums the fired rules in rule
+order with the same expressions as the dense definition, so results are
+bit-identical to multiplying every rule.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 from .errors import DegenerateFiringWarning, InputDomainError, UsageError
@@ -55,6 +64,8 @@ class MembershipFunction:
             raise UsageError(f"unknown membership kind {self.kind!r}")
         pts = tuple(float(p) for p in self.breakpoints)
         object.__setattr__(self, "breakpoints", pts)
+        if not all(math.isfinite(p) for p in pts):
+            raise UsageError(f"breakpoints must be finite: {pts}")
         if len(pts) != _BREAKPOINT_COUNT[self.kind]:
             raise UsageError(
                 f"{self.kind} needs {_BREAKPOINT_COUNT[self.kind]} breakpoints, "
@@ -159,6 +170,10 @@ class RuleBase:
     antecedents: tuple[LinguisticVariable, ...]
     consequent: LinguisticVariable
     rules: tuple[tuple[tuple[str, ...], str], ...]
+    # Compiled in __post_init__: the rule index of each antecedent-label
+    # tuple, and each rule's consequent (area, centroid).
+    _index: dict[tuple[str, ...], int] = field(init=False, repr=False, compare=False)
+    _geometry: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         expected = set(itertools.product(*(v.labels for v in self.antecedents)))
@@ -170,28 +185,42 @@ class RuleBase:
                 f"rule base is not total: {len(seen)} rules for "
                 f"{len(expected)} antecedent combinations"
             )
-        consequent_labels = set(self.consequent.labels)
+        geometry = {
+            label: term_geometry(mf, self.consequent.universe)
+            for label, mf in self.consequent.terms
+        }
         for key, then in self.rules:
-            if then not in consequent_labels:
+            if then not in geometry:
                 raise UsageError(f"rule {key} names unknown consequent {then!r}")
+        object.__setattr__(self, "_index", {key: i for i, key in enumerate(seen)})
+        object.__setattr__(self, "_geometry", tuple(geometry[then] for _, then in self.rules))
 
     def __len__(self) -> int:
         return len(self.rules)
 
 
 def fire_rules(rb: RuleBase, inputs: Sequence[float]) -> FiringVector:
-    """Product-conjunction activation weight per rule, in rule order."""
+    """Product-conjunction activation weight per rule, in rule order.
+
+    Only combinations of nonzero degrees are multiplied; every other rule has
+    a zero factor and keeps weight 0.0.
+    """
     if len(inputs) != len(rb.antecedents):
         raise UsageError(
             f"expected {len(rb.antecedents)} inputs, got {len(inputs)}"
         )
-    degrees = [fuzzify(var, u) for var, u in zip(rb.antecedents, inputs)]
-    weights: FiringVector = []
-    for key, _ in rb.rules:
+    nonzero = [
+        [(label, d) for label, d in fuzzify(var, u).items() if d != 0.0]
+        for var, u in zip(rb.antecedents, inputs)
+    ]
+    index = rb._index
+    weights: FiringVector = [0.0] * len(rb.rules)
+    for combo in itertools.product(*nonzero):
+        labels, degrees = zip(*combo)
         w = 1.0
-        for per_var, label in zip(degrees, key):
-            w *= per_var[label]
-        weights.append(w)
+        for d in degrees:
+            w *= d
+        weights[index[labels]] = w
     return weights
 
 
@@ -203,16 +232,11 @@ def defuzzify_centroid(rb: RuleBase, fv: FiringVector) -> float:
     """
     if len(fv) != len(rb.rules):
         raise UsageError(f"firing vector length {len(fv)} != rule count {len(rb.rules)}")
-    geometry = {
-        label: term_geometry(mf, rb.consequent.universe)
-        for label, mf in rb.consequent.terms
-    }
     num = 0.0
     den = 0.0
-    for (_, then), w in zip(rb.rules, fv):
+    for w, (area, centroid) in zip(fv, rb._geometry):
         if w <= 0.0:
             continue
-        area, centroid = geometry[then]
         num += w * area * centroid
         den += w * area
     if den <= 0.0:
@@ -234,6 +258,38 @@ def infer(rb: RuleBase, inputs: Sequence[float]) -> float:
 # -- JSON (de)serialization --------------------------------------------------
 # Plain-dict codecs so controller definitions can live in version-controlled
 # JSON documents and tests can perturb membership designs without recompiling.
+# ``load_json`` and ``json_number`` are the one file reader and the one number
+# check for every document the CLI reads: controllers, scenarios and grids.
+
+def load_json(path: Path) -> dict:
+    """The JSON object in the UTF-8 file at ``path``; anything else is a
+    UsageError naming the file."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise UsageError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise UsageError(f"{path}: top level must be a JSON object")
+    return doc
+
+
+def json_number(value, where: str) -> float:
+    """``value`` as a finite float; JSON booleans and strings are not numbers."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise UsageError(f"{where} must be a finite number, got {value!r}")
+
 
 def variable_to_dict(var: LinguisticVariable) -> dict:
     return {
@@ -246,15 +302,24 @@ def variable_to_dict(var: LinguisticVariable) -> dict:
     }
 
 
-def variable_from_dict(doc: dict) -> LinguisticVariable:
+def _numbers(values, where: str) -> tuple[float, ...]:
+    if not isinstance(values, list):
+        raise UsageError(f"{where} must be a list of numbers, got {values!r}")
+    return tuple(json_number(v, where) for v in values)
+
+
+def variable_from_dict(doc: dict, where: str = "variable") -> LinguisticVariable:
     try:
-        terms = tuple(
-            (t["label"], MembershipFunction(t["kind"], tuple(t["breakpoints"])))
-            for t in doc["terms"]
-        )
-        return LinguisticVariable(doc["name"], tuple(doc["universe"]), terms)
+        terms = []
+        for i, t in enumerate(doc["terms"]):
+            points = _numbers(t["breakpoints"], f"{where}.terms[{i}].breakpoints")
+            terms.append((t["label"], MembershipFunction(t["kind"], points)))
+        universe = _numbers(doc["universe"], f"{where}.universe")
+        if len(universe) != 2:
+            raise UsageError(f"{where}.universe must hold two numbers, got {len(universe)}")
+        return LinguisticVariable(doc["name"], universe, tuple(terms))
     except (KeyError, TypeError) as exc:
-        raise UsageError(f"malformed variable document: {exc}") from exc
+        raise UsageError(f"malformed variable document {where}: {exc}") from exc
 
 
 def rulebase_to_dict(rb: RuleBase) -> dict:
@@ -265,11 +330,14 @@ def rulebase_to_dict(rb: RuleBase) -> dict:
     }
 
 
-def rulebase_from_dict(doc: dict) -> RuleBase:
+def rulebase_from_dict(doc: dict, where: str = "rule base") -> RuleBase:
     try:
-        antecedents = tuple(variable_from_dict(d) for d in doc["antecedents"])
-        consequent = variable_from_dict(doc["consequent"])
+        antecedents = tuple(
+            variable_from_dict(d, f"{where}.antecedents[{i}]")
+            for i, d in enumerate(doc["antecedents"])
+        )
+        consequent = variable_from_dict(doc["consequent"], f"{where}.consequent")
         rules = tuple((tuple(r["when"]), r["then"]) for r in doc["rules"])
     except (KeyError, TypeError) as exc:
-        raise UsageError(f"malformed rule base document: {exc}") from exc
+        raise UsageError(f"malformed rule base document {where}: {exc}") from exc
     return RuleBase(antecedents, consequent, rules)

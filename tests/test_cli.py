@@ -414,7 +414,45 @@ class TestUsage:
         code = main(["run", "--scenario", str(doc), "--out", str(tmp_path),
                      "--controllers", str(bad)])
         assert code == 1
-        assert "controller" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {bad}:1:3: ")
+
+    @pytest.mark.parametrize("verb", ["surface", "run"])
+    @pytest.mark.parametrize(
+        "breakpoint, universe, raw",
+        [
+            pytest.param(None, None, b'{"flc_t": "\xff"}', id="not-utf8"),
+            pytest.param("a", None, None, id="string-breakpoint"),
+            pytest.param(None, [-180.0], None, id="one-bound-universe"),
+            pytest.param(float("nan"), None, None, id="nan-breakpoint"),
+            pytest.param(float("inf"), None, None, id="infinite-breakpoint"),
+        ],
+    )
+    def test_malformed_controller_document_gives_one_error_line(
+        self, tmp_path, capsys, verb, breakpoint, universe, raw
+    ):
+        bad = tmp_path / "ctl.json"
+        if raw is not None:
+            bad.write_bytes(raw)
+        else:
+            doc = json.loads(controllers_to_json(ControllerSet(build_flc_t(), build_flc_c())))
+            alpha = doc["flc_t"]["antecedents"][0]
+            if breakpoint is not None:
+                alpha["terms"][1]["breakpoints"][1] = breakpoint
+            if universe is not None:
+                alpha["universe"] = universe
+            # json.dumps writes NaN and Infinity, which json.loads accepts.
+            bad.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        if verb == "surface":
+            argv = ["surface", "flc_t", "--out", str(out)]
+        else:
+            scenario = write_doc(tmp_path, "s.json", scenario_doc(0.0, 50.0, 0.0, 0.0))
+            argv = ["run", "--scenario", str(scenario), "--out", str(out)]
+        code = main([*argv, "--controllers", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
 
     def test_module_entry_point(self, tmp_path):
         doc = write_doc(tmp_path, "s.json", scenario_doc(-60.0, 120.0, 30.0, 0.0))

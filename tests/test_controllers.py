@@ -19,7 +19,7 @@ from fuzzydock.controllers import (
     build_flc_t,
     bundled_controllers_path,
     cascade_step,
-    controllers_from_json,
+    controllers_from_dict,
     controllers_to_json,
     default_controllers,
     flc_c,
@@ -203,11 +203,11 @@ class TestPersistence:
         assert bundled == cs
 
     def test_round_trip(self, cs):
-        assert controllers_from_json(controllers_to_json(cs)) == cs
+        assert controllers_from_dict(json.loads(controllers_to_json(cs))) == cs
 
     def test_rejects_wrong_top_level_keys(self):
         with pytest.raises(UsageError):
-            controllers_from_json(json.dumps({"flc_t": {}}))
+            controllers_from_dict({"flc_t": {}})
 
     def test_perturbed_document_changes_output(self, cs, tmp_path):
         doc = json.loads(controllers_to_json(cs))

@@ -1,11 +1,14 @@
 """Engine-level tests: shapes, fuzzification, firing, defuzzification."""
 
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracle
+from fuzzydock.controllers import build_flc_c, build_flc_t
 from fuzzydock.errors import DegenerateFiringWarning, InputDomainError, UsageError
 from fuzzydock.fuzzy import (
     LinguisticVariable,
@@ -235,3 +238,109 @@ class TestJsonRoundTrip:
             variable_from_dict({"name": "V"})
         with pytest.raises(UsageError):
             rulebase_from_dict({"antecedents": []})
+
+
+# -- Sparse firing against the dense definition -------------------------------
+# ``fire_rules`` multiplies only combinations of nonzero degrees, and
+# ``defuzzify_centroid`` reads per-rule geometry compiled once per rule base.
+# The dense definition below multiplies every rule and recomputes the term
+# geometry; both must agree bit for bit.
+
+def dense_fire(rb, inputs):
+    degrees = [fuzzify(var, u) for var, u in zip(rb.antecedents, inputs)]
+    weights = []
+    for key, _ in rb.rules:
+        w = 1.0
+        for per_var, label in zip(degrees, key):
+            w *= per_var[label]
+        weights.append(w)
+    return weights
+
+
+def dense_infer(rb, inputs):
+    geometry = {
+        label: term_geometry(mf, rb.consequent.universe) for label, mf in rb.consequent.terms
+    }
+    num = 0.0
+    den = 0.0
+    for (_, then), w in zip(rb.rules, dense_fire(rb, inputs)):
+        if w <= 0.0:
+            continue
+        area, centroid = geometry[then]
+        num += w * area * centroid
+        den += w * area
+    return num / den
+
+
+def widen(var):
+    """The same peaks, each term reaching two peaks to each side."""
+    peaks = [var.universe[0]] + [mf.breakpoints[1] for _, mf in var.terms[1:-1]] + [var.universe[1]]
+    last = len(peaks) - 1
+    terms = []
+    for i, (label, _) in enumerate(var.terms):
+        if i == 0:
+            mf = MembershipFunction("left-shoulder", (peaks[0], peaks[2]))
+        elif i == last:
+            mf = MembershipFunction("right-shoulder", (peaks[-3], peaks[-1]))
+        else:
+            mf = MembershipFunction(
+                "triangular", (peaks[max(i - 2, 0)], peaks[i], peaks[min(i + 2, last)])
+            )
+        terms.append((label, mf))
+    return LinguisticVariable(var.name, var.universe, tuple(terms))
+
+
+def wide_rulebase(rb):
+    return RuleBase(tuple(widen(v) for v in rb.antecedents), widen(rb.consequent), rb.rules)
+
+
+def shuffled_rulebase(rb):
+    rules = list(rb.rules)
+    random.Random(0).shuffle(rules)
+    return RuleBase(rb.antecedents, rb.consequent, tuple(rules))
+
+
+FLC_T = build_flc_t()
+FLC_C = build_flc_c()
+RULE_BASES = {
+    "flc_t": FLC_T,
+    "flc_c": FLC_C,
+    "flc_t-wide": wide_rulebase(FLC_T),
+    "flc_c-wide": wide_rulebase(FLC_C),
+    "flc_t-shuffled": shuffled_rulebase(FLC_T),
+    "flc_t-wide-shuffled": shuffled_rulebase(wide_rulebase(FLC_T)),
+}
+
+
+def breakpoint_inputs(rb):
+    """Every combination of breakpoints, universe bounds and points just
+    outside the universe, one axis per antecedent."""
+    axes = []
+    for var in rb.antecedents:
+        lo, hi = var.universe
+        points = {p for _, mf in var.terms for p in mf.breakpoints} | {lo, hi, lo - 1.0, hi + 1.0}
+        axes.append(sorted(points))
+    return [list(inputs) for inputs in itertools.product(*axes)]
+
+
+@pytest.mark.parametrize("name", RULE_BASES)
+class TestSparseMatchesDense:
+    def test_every_breakpoint_pair(self, name):
+        rb = RULE_BASES[name]
+        for inputs in breakpoint_inputs(rb):
+            weights = fire_rules(rb, inputs)
+            assert len(weights) == len(rb)
+            assert weights == dense_fire(rb, inputs)
+            assert infer(rb, inputs) == dense_infer(rb, inputs)
+
+    @given(st.data())
+    def test_random_inputs(self, name, data):
+        rb = RULE_BASES[name]
+        inputs = [
+            data.draw(st.floats(var.universe[0] - 10.0, var.universe[1] + 10.0))
+            for var in rb.antecedents
+        ]
+        weights = fire_rules(rb, inputs)
+        assert len(weights) == len(rb)
+        assert weights == dense_fire(rb, inputs)
+        assert infer(rb, inputs) == dense_infer(rb, inputs)

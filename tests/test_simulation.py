@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzydock.controllers import ControllerSet, default_controllers
 from fuzzydock.errors import UsageError
-from fuzzydock.plant import DOCKED, ERROR, INSUFFICIENT_SPACE, TIMEOUT, PlantState
+from fuzzydock.plant import DOCKED, ERROR, INSUFFICIENT_SPACE, TIMEOUT, PlantParams, PlantState
 from fuzzydock.simulation import (
     AxisSpec,
     Scenario,
@@ -97,6 +97,28 @@ class TestRun:
         for a, b in zip(straight.samples, mirrored.samples):
             assert a.state.x == pytest.approx(-b.state.x, abs=1e-9)
             assert a.state.y == pytest.approx(b.state.y, abs=1e-9)
+
+    # Starts near the centre line with room to manoeuvre: about two in five
+    # dock, and about one docked run in six ends below y = 0.
+    @given(
+        st.floats(-30, 30),
+        st.floats(30, 150),
+        st.floats(-45, 45),
+        st.floats(-30, 30),
+        st.floats(0.5, 2.0),
+        st.sampled_from(["cascade", "reference"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_docked_overshoot_stays_within_one_step(self, x, y, alpha, beta, v, mode):
+        # dock_check has no lower bound on y. A live state has y > 0, since
+        # y <= 0 ends the run, and one step backs the trailer at most v, so a
+        # docked rig ends above -v.
+        params = PlantParams(v=v)
+        trajectory = run(
+            Scenario(PlantState(x, y, alpha, beta), params=params, max_steps=400, mode=mode)
+        )
+        if trajectory.outcome.kind == DOCKED:
+            assert trajectory.outcome.final_state.y > -params.v
 
 
 class TestConvergenceMetric:
