@@ -305,24 +305,30 @@ def cmd_surface(args: argparse.Namespace) -> int:
     if args.resolution < 2:
         raise UsageError("resolution must be >= 2")
     controllers = _resolve_controllers(args)
+    n = args.resolution
+    # The axes are sampled before the file is opened, so an axis that
+    # overflows leaves no truncated CSV behind.
+    if args.controller == "flc_t":
+        (lo_a, hi_a), (lo_x, hi_x) = (v.universe for v in controllers.flc_t.antecedents)
+        alphas = AxisSpec(lo_a, hi_a, n).values()
+        xs = AxisSpec(lo_x, hi_x, n).values()
+        header = ("x", "alpha_deg", "beta_prime_deg")
+        rows = (
+            [_g17(x), _g17(alpha), _g17(flc_t(x, alpha, controllers))]
+            for x in xs for alpha in alphas
+        )
+    else:
+        lo_g, hi_g = controllers.flc_c.antecedents[0].universe
+        gammas = AxisSpec(lo_g, hi_g, n).values()
+        header = ("gamma_deg", "theta_deg")
+        rows = ([_g17(gamma), _g17(flc_c(gamma, controllers))] for gamma in gammas)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"surface_{args.controller}.csv"
-    n = args.resolution
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if args.controller == "flc_t":
-            (lo_a, hi_a), (lo_x, hi_x) = (v.universe for v in controllers.flc_t.antecedents)
-            alphas = AxisSpec(lo_a, hi_a, n).values()
-            writer.writerow(("x", "alpha_deg", "beta_prime_deg"))
-            for x in AxisSpec(lo_x, hi_x, n).values():
-                for alpha in alphas:
-                    writer.writerow([_g17(x), _g17(alpha), _g17(flc_t(x, alpha, controllers))])
-        else:
-            lo_g, hi_g = controllers.flc_c.antecedents[0].universe
-            writer.writerow(("gamma_deg", "theta_deg"))
-            for gamma in AxisSpec(lo_g, hi_g, n).values():
-                writer.writerow([_g17(gamma), _g17(flc_c(gamma, controllers))])
+        writer.writerow(header)
+        writer.writerows(rows)
     print(f"wrote {path}")
     return 0
 

@@ -12,12 +12,22 @@ weighted sum of consequents reduces to
 
 which is what ``defuzzify_centroid`` evaluates in closed form.
 
-Each RuleBase is compiled once, when it is built: the rule index of every
-antecedent-label tuple and each rule's consequent (area, centroid). Firing
-then multiplies only the combinations of nonzero degrees, since any product
-with a zero degree is zero, and the centroid sums the fired rules in rule
-order with the same expressions as the dense definition, so results are
-bit-identical to multiplying every rule.
+Variables and rule bases are compiled once, when they are built. Each
+LinguisticVariable keeps a segment table: the sorted distinct breakpoints and
+universe bounds, and for each half-open segment between them the terms that
+are nonzero there, each with the expression ``eval_membership`` uses on that
+segment and its precomputed denominator. Each RuleBase keeps a flat table
+from antecedent term positions (row-major over the variables' term orders) to
+rule index, and each rule's consequent (area, centroid). Firing finds each
+clamped input's segment with one bisection, evaluates only that segment's
+terms and multiplies the nonzero degrees in the dense factor order, since any
+product with a zero degree is zero; the centroid sums the fired rules in rule
+order with the same expressions as the dense definition. Results are
+bit-identical to evaluating every term and multiplying every rule.
+
+Compilation also rejects a variable whose geometry is not finite (a universe
+span, a ramp denominator or a consequent term's area and moment that
+overflow), so inference on finite inputs never produces ``nan`` or ``inf``.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ import itertools
 import json
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -124,6 +135,41 @@ def term_geometry(mf: MembershipFunction, universe: tuple[float, float]) -> tupl
     return area, moment / area
 
 
+# How a term's degree is computed on one segment of a segment table; the
+# expressions are those of ``eval_membership`` on that stretch of the term.
+_ONE = 0   # 1.0
+_RISE = 1  # (u - foot) / den, den = peak - foot
+_FALL = 2  # (foot - u) / den, den = foot - peak
+
+
+def _require_finite(name: str, what: str, values) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"variable {name!r}: {what} is not finite (overflow)")
+
+
+def _segment_terms(terms, lower: float, upper: float) -> tuple[tuple[int, int, float, float], ...]:
+    """(term index, kind, foot, denominator) of every term that is not zero
+    throughout [lower, upper), a stretch that no breakpoint splits."""
+    out = []
+    for i, (_, mf) in enumerate(terms):
+        if mf.kind == TRIANGULAR:
+            a, b, c = mf.breakpoints
+            if upper <= a or lower >= c:
+                continue
+            out.append((i, _RISE, a, b - a) if upper <= b else (i, _FALL, c, c - b))
+        elif mf.kind == LEFT_SHOULDER:
+            edge, foot = mf.breakpoints
+            if lower >= foot:
+                continue
+            out.append((i, _ONE, 0.0, 1.0) if upper <= edge else (i, _FALL, foot, foot - edge))
+        else:
+            foot, edge = mf.breakpoints
+            if upper <= foot:
+                continue
+            out.append((i, _ONE, 0.0, 1.0) if lower >= edge else (i, _RISE, foot, edge - foot))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class LinguisticVariable:
     """Named universe interval plus an ordered term set."""
@@ -131,6 +177,14 @@ class LinguisticVariable:
     name: str
     universe: tuple[float, float]
     terms: tuple[tuple[str, MembershipFunction], ...]
+    # Compiled in __post_init__: the sorted distinct breakpoints and universe
+    # bounds, and for each half-open segment [_edges[k-1], _edges[k]) the
+    # nonzero terms there as (term index, kind, foot, denominator); segment 0
+    # lies below the first edge and the last one from the last edge up.
+    _edges: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _segments: tuple[tuple[tuple[int, int, float, float], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         lo, hi = self.universe
@@ -145,10 +199,45 @@ class LinguisticVariable:
                 raise UsageError(
                     f"term {label!r} support {pts} escapes universe {self.universe}"
                 )
+        _require_finite(self.name, "universe span hi - lo", (hi - lo,))
+        edges = sorted({lo, hi}.union(*(mf.breakpoints for _, mf in self.terms)))
+        bounds = [-math.inf, *edges, math.inf]
+        segments = tuple(
+            _segment_terms(self.terms, lower, upper) for lower, upper in zip(bounds, bounds[1:])
+        )
+        _require_finite(
+            self.name, "a membership ramp denominator",
+            (den for segment in segments for _, _, _, den in segment),
+        )
+        object.__setattr__(self, "_edges", tuple(edges))
+        object.__setattr__(self, "_segments", segments)
 
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.terms)
+
+
+def _nonzero_degrees(var: LinguisticVariable, u: float) -> list[tuple[int, float]]:
+    """(term index, degree) of the terms with a nonzero degree at ``u``, in
+    term order, from the segment table; each degree equals
+    ``fuzzify(var, u)`` for that term bit for bit."""
+    if not math.isfinite(u):
+        raise InputDomainError(f"non-finite input {u!r} for variable {var.name!r}")
+    lo, hi = var.universe
+    # The clamp of ``fuzzify``, min(max(u, lo), hi), without the builtins' call cost.
+    if u < lo:
+        u = lo
+    elif u > hi:
+        u = hi
+    degrees = []
+    for i, kind, foot, den in var._segments[bisect_right(var._edges, u)]:
+        if kind == _ONE:
+            degrees.append((i, 1.0))
+            continue
+        d = (u - foot) / den if kind == _RISE else (foot - u) / den
+        if d != 0.0:
+            degrees.append((i, d))
+    return degrees
 
 
 def fuzzify(var: LinguisticVariable, u: float) -> dict[str, float]:
@@ -170,30 +259,46 @@ class RuleBase:
     antecedents: tuple[LinguisticVariable, ...]
     consequent: LinguisticVariable
     rules: tuple[tuple[tuple[str, ...], str], ...]
-    # Compiled in __post_init__: the rule index of each antecedent-label
-    # tuple, and each rule's consequent (area, centroid).
-    _index: dict[tuple[str, ...], int] = field(init=False, repr=False, compare=False)
+    # Compiled in __post_init__: the rule index at each antecedent term
+    # position (row-major over the variables' term orders), and each rule's
+    # consequent (area, centroid).
+    _rule_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _geometry: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        expected = set(itertools.product(*(v.labels for v in self.antecedents)))
+        if len(self.antecedents) not in (1, 2):
+            raise UsageError(
+                f"a rule base takes one or two antecedent variables, got {len(self.antecedents)}"
+            )
+        positions = list(itertools.product(*(v.labels for v in self.antecedents)))
         seen = [key for key, _ in self.rules]
         if len(seen) != len(set(seen)):
             raise UsageError("duplicate rule antecedents")
-        if set(seen) != expected:
+        if set(seen) != set(positions):
             raise UsageError(
                 f"rule base is not total: {len(seen)} rules for "
-                f"{len(expected)} antecedent combinations"
+                f"{len(positions)} antecedent combinations"
             )
+        consequent = self.consequent
         geometry = {
-            label: term_geometry(mf, self.consequent.universe)
-            for label, mf in self.consequent.terms
+            label: term_geometry(mf, consequent.universe) for label, mf in consequent.terms
         }
         for key, then in self.rules:
             if then not in geometry:
                 raise UsageError(f"rule {key} names unknown consequent {then!r}")
-        object.__setattr__(self, "_index", {key: i for i, key in enumerate(seen)})
-        object.__setattr__(self, "_geometry", tuple(geometry[then] for _, then in self.rules))
+        _require_finite(
+            consequent.name, "a consequent term's area, centroid or moment",
+            (v for area, centroid in geometry.values() for v in (area, centroid, area * centroid)),
+        )
+        per_rule = tuple(geometry[then] for _, then in self.rules)
+        # Every weight is at most 1, so these sums bound the centroid's sums.
+        _require_finite(
+            consequent.name, "the sum of the rules' consequent areas or moments",
+            (sum(area for area, _ in per_rule), sum(abs(area * c) for area, c in per_rule)),
+        )
+        index = {key: i for i, key in enumerate(seen)}
+        object.__setattr__(self, "_rule_at", tuple(index[key] for key in positions))
+        object.__setattr__(self, "_geometry", per_rule)
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -209,18 +314,21 @@ def fire_rules(rb: RuleBase, inputs: Sequence[float]) -> FiringVector:
         raise UsageError(
             f"expected {len(rb.antecedents)} inputs, got {len(inputs)}"
         )
-    nonzero = [
-        [(label, d) for label, d in fuzzify(var, u).items() if d != 0.0]
-        for var, u in zip(rb.antecedents, inputs)
-    ]
-    index = rb._index
-    weights: FiringVector = [0.0] * len(rb.rules)
-    for combo in itertools.product(*nonzero):
-        labels, degrees = zip(*combo)
-        w = 1.0
-        for d in degrees:
-            w *= d
-        weights[index[labels]] = w
+    rule_at = rb._rule_at
+    weights: FiringVector = [0.0] * len(rule_at)
+    # The dense product is ((1.0 * d0) * d1); 1.0 * d0 == d0 exactly.
+    if len(inputs) == 1:
+        for i, d0 in _nonzero_degrees(rb.antecedents[0], inputs[0]):
+            weights[rule_at[i]] = d0
+        return weights
+    first_var, second_var = rb.antecedents
+    first = _nonzero_degrees(first_var, inputs[0])
+    second = _nonzero_degrees(second_var, inputs[1])
+    stride = len(second_var.terms)
+    for i, d0 in first:
+        row = i * stride
+        for j, d1 in second:
+            weights[rule_at[row + j]] = d0 * d1
     return weights
 
 
@@ -234,11 +342,17 @@ def defuzzify_centroid(rb: RuleBase, fv: FiringVector) -> float:
         raise UsageError(f"firing vector length {len(fv)} != rule count {len(rb.rules)}")
     num = 0.0
     den = 0.0
-    for w, (area, centroid) in zip(fv, rb._geometry):
-        if w <= 0.0:
+    geometry = rb._geometry
+    # compress yields the indices of nonzero weights, in ascending rule index;
+    # a negative weight is skipped like a zero one.
+    for i in itertools.compress(range(len(fv)), fv):
+        w = fv[i]
+        if w < 0.0:
             continue
-        num += w * area * centroid
-        den += w * area
+        area, centroid = geometry[i]
+        weighted_area = w * area
+        num += weighted_area * centroid
+        den += weighted_area
     if den <= 0.0:
         lo, hi = rb.consequent.universe
         warnings.warn(
@@ -310,15 +424,22 @@ def _numbers(values, where: str) -> tuple[float, ...]:
 
 def variable_from_dict(doc: dict, where: str = "variable") -> LinguisticVariable:
     try:
-        terms = []
-        for i, t in enumerate(doc["terms"]):
-            points = _numbers(t["breakpoints"], f"{where}.terms[{i}].breakpoints")
-            terms.append((t["label"], MembershipFunction(t["kind"], points)))
+        shapes = [
+            (t["label"], t["kind"], _numbers(t["breakpoints"], f"{where}.terms[{i}].breakpoints"))
+            for i, t in enumerate(doc["terms"])
+        ]
         universe = _numbers(doc["universe"], f"{where}.universe")
         if len(universe) != 2:
             raise UsageError(f"{where}.universe must hold two numbers, got {len(universe)}")
-        return LinguisticVariable(doc["name"], universe, tuple(terms))
+        name = doc["name"]
     except (KeyError, TypeError) as exc:
+        raise UsageError(f"malformed variable document {where}: {exc}") from exc
+    try:
+        terms = tuple((label, MembershipFunction(kind, points)) for label, kind, points in shapes)
+        return LinguisticVariable(name, universe, terms)
+    except UsageError as exc:
+        raise UsageError(f"{where}: {exc}") from exc
+    except TypeError as exc:
         raise UsageError(f"malformed variable document {where}: {exc}") from exc
 
 
@@ -340,4 +461,9 @@ def rulebase_from_dict(doc: dict, where: str = "rule base") -> RuleBase:
         rules = tuple((tuple(r["when"]), r["then"]) for r in doc["rules"])
     except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed rule base document {where}: {exc}") from exc
-    return RuleBase(antecedents, consequent, rules)
+    try:
+        return RuleBase(antecedents, consequent, rules)
+    except UsageError as exc:
+        raise UsageError(f"{where}: {exc}") from exc
+    except TypeError as exc:  # an unhashable label in a rule
+        raise UsageError(f"malformed rule base document {where}: {exc}") from exc

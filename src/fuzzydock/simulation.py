@@ -185,7 +185,12 @@ class AxisSpec:
         if self.count == 1:
             return [self.min]
         span = self.max - self.min
-        return [self.min + span * i / (self.count - 1) for i in range(self.count)]
+        values = [self.min + span * i / (self.count - 1) for i in range(self.count)]
+        if not all(math.isfinite(v) for v in values):
+            raise UsageError(
+                f"axis from {self.min} to {self.max} in {self.count} points overflows"
+            )
+        return values
 
 
 @dataclass(frozen=True)

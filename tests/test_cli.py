@@ -1,17 +1,31 @@
 """End-to-end CLI tests: exit codes, artifact contents, diagnostics."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzydock.cli import load_scenario_file, main
-from fuzzydock.controllers import ControllerSet, build_flc_c, build_flc_t, controllers_to_json
-from fuzzydock.controllers import PEAKS
+from fuzzydock.controllers import (
+    PEAKS,
+    ControllerSet,
+    build_flc_c,
+    build_flc_t,
+    bundled_controllers_path,
+    controllers_to_json,
+)
+from fuzzydock.errors import DegenerateFiringWarning
 from fuzzydock.simulation import run
 
 REPO_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -394,6 +408,132 @@ class TestSurfaceCommand:
         assert float(swapped[1][1]) == pytest.approx(-40.0 / 3.0)
 
 
+BUNDLED_CONTROLLERS = json.loads(bundled_controllers_path().read_text(encoding="utf-8"))
+
+
+def _with_rule_label(label):
+    doc = copy.deepcopy(BUNDLED_CONTROLLERS)
+    doc["flc_c"]["rules"][0]["then"] = label
+    return json.dumps(doc).encode("utf-8")
+
+
+UNHASHABLE_RULE_LABEL = _with_rule_label(["PB"])
+
+
+def _stretched(variable, lo, hi):
+    """The bundled controller document with the flc_c ``variable``
+    ("consequent" or "antecedents[0]") spanning [lo, hi], its outer
+    breakpoints moved with the bounds."""
+    doc = copy.deepcopy(BUNDLED_CONTROLLERS)
+    flc_c = doc["flc_c"]
+    var = flc_c["consequent"] if variable == "consequent" else flc_c["antecedents"][0]
+    var["universe"] = [lo, hi]
+    var["terms"][0]["breakpoints"][0] = lo
+    var["terms"][-1]["breakpoints"][-1] = hi
+    return doc
+
+
+def _run_cli(argv):
+    """(exit code, stderr lines) of one in-process CLI invocation."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateFiringWarning)
+            code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+class TestControllerGeometry:
+    @pytest.mark.parametrize("verb", ["surface", "run"])
+    @pytest.mark.parametrize(
+        "variable, bound, name",
+        [
+            pytest.param("consequent", 1.7e308, "S", id="consequent-span-overflows"),
+            pytest.param("consequent", 5e307, "S", id="consequent-moment-overflows"),
+            pytest.param("antecedents[0]", 1.7e308, "G", id="antecedent-span-overflows"),
+        ],
+    )
+    def test_non_finite_geometry_fails_at_load(self, tmp_path, verb, variable, bound, name):
+        bad = write_doc(tmp_path, "ctl.json", _stretched(variable, -bound, bound))
+        out = tmp_path / "out"
+        if verb == "surface":
+            argv = ["surface", "flc_c", "--resolution", "7", "--out", str(out)]
+        else:
+            scenario = write_doc(tmp_path, "s.json", scenario_doc(0.0, 50.0, 0.0, 0.0))
+            argv = ["run", "--scenario", str(scenario), "--out", str(out)]
+        code, err = _run_cli([*argv, "--controllers", str(bad)])
+        assert code == 1
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {bad}: flc_c")
+        assert f"variable {name!r}" in err[0]
+        assert not out.exists()
+
+    def test_overflowing_surface_axis_writes_no_csv(self, tmp_path):
+        # A finite span whose samples overflow: 1e308 * 6 is inf.
+        doc = _stretched("antecedents[0]", -60.0, 1e308)
+        bad = write_doc(tmp_path, "ctl.json", doc)
+        out = tmp_path / "out"
+        code, err = _run_cli(["surface", "flc_c", "--resolution", "7", "--out", str(out),
+                              "--controllers", str(bad)])
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: axis from -60.0 to 1e+308")
+        assert not list(out.glob("surface_*.csv"))
+        code, _ = _run_cli(["surface", "flc_c", "--resolution", "2", "--out", str(out),
+                            "--controllers", str(bad)])
+        assert code == 0
+
+
+# Perturbations of the bundled controller document, up to 1e308 in magnitude:
+# a universe bound pushed outwards with the outer breakpoint pinned to it (so
+# the document stays well-formed and only its size grows), a single breakpoint
+# set anywhere, and a whole variable scaled.
+@st.composite
+def perturbed_controllers(draw):
+    doc = copy.deepcopy(BUNDLED_CONTROLLERS)
+    variables = [v for rb in doc.values() for v in (*rb["antecedents"], rb["consequent"])]
+    for _ in range(draw(st.integers(1, 3))):
+        var = draw(st.sampled_from(variables))
+        how = draw(st.sampled_from(["bound", "breakpoint", "scale"]))
+        if how == "bound":
+            end = draw(st.sampled_from([0, -1]))
+            step = draw(st.floats(0.0, 1e308))
+            value = var["universe"][end] + (step if end else -step)
+            var["universe"][end] = value
+            var["terms"][end]["breakpoints"][end] = value
+        elif how == "breakpoint":
+            points = draw(st.sampled_from(var["terms"]))["breakpoints"]
+            points[draw(st.integers(0, len(points) - 1))] = draw(st.floats(-1e308, 1e308))
+        else:
+            factor = draw(st.floats(1e-300, 1e308))
+            var["universe"] = [p * factor for p in var["universe"]]
+            for term in var["terms"]:
+                term["breakpoints"] = [p * factor for p in term["breakpoints"]]
+    return doc
+
+
+class TestControllerDocumentProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(perturbed_controllers(), st.integers(2, 9))
+    def test_surface_runs_finite_or_fails_cleanly(self, doc, resolution):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ctl.json"
+            # json.dumps writes a scaled value that overflowed as Infinity.
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            for controller in ("flc_t", "flc_c"):
+                out = Path(tmp) / controller
+                code, err = _run_cli(["surface", controller, "--resolution", str(resolution),
+                                      "--out", str(out), "--controllers", str(path)])
+                csv_path = out / f"surface_{controller}.csv"
+                if code == 0:
+                    rows = read_csv(csv_path)[1:]
+                    assert len(rows) == resolution ** (2 if controller == "flc_t" else 1)
+                    assert all(math.isfinite(float(v)) for row in rows for v in row)
+                else:
+                    assert code == 1
+                    assert len(err) == 1 and err[0].startswith("error:")
+                    assert not csv_path.exists()
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 1
@@ -425,6 +565,7 @@ class TestUsage:
             pytest.param(None, [-180.0], None, id="one-bound-universe"),
             pytest.param(float("nan"), None, None, id="nan-breakpoint"),
             pytest.param(float("inf"), None, None, id="infinite-breakpoint"),
+            pytest.param(None, None, UNHASHABLE_RULE_LABEL, id="list-as-rule-label"),
         ],
     )
     def test_malformed_controller_document_gives_one_error_line(

@@ -155,6 +155,27 @@ class TestRuleBase:
         with pytest.raises(UsageError):
             RuleBase((var_in,), var_out, rules)
 
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_one_or_two_antecedents(self, count):
+        variables = tuple(make_var(f"IN{i}") for i in range(count))
+        keys = itertools.product(*(v.labels for v in variables))
+        rules = tuple((key, "Z") for key in keys)
+        with pytest.raises(UsageError, match="one or two antecedent variables"):
+            RuleBase(variables, make_var("OUT"), rules)
+
+    @pytest.mark.parametrize(
+        "universe, peaks",
+        [
+            pytest.param((-1.7e308, 1.7e308), (-1.7e308, 0.0, 1.7e308), id="span-overflows"),
+            pytest.param((-5e307, 5e307), (-5e307, 0.0, 5e307), id="moment-overflows"),
+        ],
+    )
+    def test_consequent_geometry_must_be_finite(self, universe, peaks):
+        rules = ((("N",), "P"), (("Z",), "Z"), (("P",), "N"))
+        with pytest.raises(UsageError, match="'OUT'.*not finite"):
+            var_out = LinguisticVariable("OUT", universe, make_var("OUT", peaks=peaks).terms)
+            RuleBase((make_var("IN"),), var_out, rules)
+
 
 class TestFireRules:
     def test_single_rule_fires_at_peak(self):
@@ -269,6 +290,9 @@ def dense_infer(rb, inputs):
         area, centroid = geometry[then]
         num += w * area * centroid
         den += w * area
+    if den == 0.0:
+        lo, hi = rb.consequent.universe
+        return (lo + hi) / 2.0
     return num / den
 
 
@@ -300,6 +324,41 @@ def shuffled_rulebase(rb):
     return RuleBase(rb.antecedents, rb.consequent, tuple(rules))
 
 
+def overhang(var):
+    """The same terms with every breakpoint on a universe bound moved 1e-12
+    outside it, as far as LinguisticVariable allows: at each bound the end
+    term stops short of degree 1 (or 0) and its neighbour is just above 0."""
+    lo, hi = var.universe
+    moved = {lo: lo - 1e-12, hi: hi + 1e-12}
+    terms = tuple(
+        (label, MembershipFunction(mf.kind, tuple(moved.get(p, p) for p in mf.breakpoints)))
+        for label, mf in var.terms
+    )
+    return LinguisticVariable(var.name, var.universe, terms)
+
+
+def overhang_rulebase(rb):
+    return RuleBase(tuple(overhang(v) for v in rb.antecedents), overhang(rb.consequent), rb.rules)
+
+
+def gapped_var(name):
+    """Three terms with no term covering (-6, -4) or (4, 6)."""
+    terms = (
+        ("N", MembershipFunction("left-shoulder", (-10.0, -6.0))),
+        ("Z", MembershipFunction("triangular", (-4.0, 0.0, 4.0))),
+        ("P", MembershipFunction("right-shoulder", (6.0, 10.0))),
+    )
+    return LinguisticVariable(name, (-10.0, 10.0), terms)
+
+
+def gapped_rulebase(inputs):
+    variables = tuple(gapped_var(f"IN{i}") for i in range(inputs))
+    keys = list(itertools.product(*(v.labels for v in variables)))
+    then = ("N", "Z", "P")
+    rules = tuple((key, then[i % 3]) for i, key in enumerate(keys))
+    return RuleBase(variables, make_var("OUT", peaks=(-1.0, 0.0, 1.0)), rules)
+
+
 FLC_T = build_flc_t()
 FLC_C = build_flc_c()
 RULE_BASES = {
@@ -309,6 +368,10 @@ RULE_BASES = {
     "flc_c-wide": wide_rulebase(FLC_C),
     "flc_t-shuffled": shuffled_rulebase(FLC_T),
     "flc_t-wide-shuffled": shuffled_rulebase(wide_rulebase(FLC_T)),
+    "flc_t-overhang": overhang_rulebase(FLC_T),
+    "flc_c-overhang": overhang_rulebase(FLC_C),
+    "gap-1": gapped_rulebase(1),
+    "gap-2": gapped_rulebase(2),
 }
 
 
@@ -344,3 +407,12 @@ class TestSparseMatchesDense:
         assert len(weights) == len(rb)
         assert weights == dense_fire(rb, inputs)
         assert infer(rb, inputs) == dense_infer(rb, inputs)
+
+
+class TestGapBetweenTerms:
+    @pytest.mark.parametrize("inputs", [[-5.0], [5.0], [-5.0, 0.0], [0.0, 4.5], [-5.0, 5.0]])
+    def test_uncovered_input_returns_midpoint_with_warning(self, inputs):
+        rb = RULE_BASES[f"gap-{len(inputs)}"]
+        assert fire_rules(rb, inputs) == [0.0] * len(rb)
+        with pytest.warns(DegenerateFiringWarning):
+            assert infer(rb, inputs) == 0.0
