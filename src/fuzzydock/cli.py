@@ -13,13 +13,14 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 from xml.sax.saxutils import escape
 
 from .controllers import ControllerSet, default_controllers, flc_c, flc_t, load_controllers
-from .errors import InputDomainError, UsageError
+from .errors import DegenerateFiringWarning, InputDomainError, UsageError
 from .fuzzy import json_number, load_json
 from .plant import DOCKED, DockTolerance, PlantParams, PlantState
 from .simulation import (
@@ -70,6 +71,21 @@ def _object(value, allowed, where: str) -> dict:
     return value
 
 
+def _whole_number(value, where: str) -> int:
+    """``value`` as a whole number of at least 1; a fraction is an error,
+    not something to truncate."""
+    number = json_number(value, where)
+    if not number.is_integer() or number < 1:
+        raise UsageError(f"{where} must be a whole number >= 1, got {value!r}")
+    return int(number)
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise UsageError(f"{where} must be a JSON string, got {value!r}")
+    return value
+
+
 def _plant_settings(doc: dict, path: Path) -> tuple[PlantParams, DockTolerance, int]:
     """The params, tolerances and max_steps shared by scenario and grid
     documents."""
@@ -81,7 +97,7 @@ def _plant_settings(doc: dict, path: Path) -> tuple[PlantParams, DockTolerance, 
     tolerances = DockTolerance(
         **{_TOL_FIELDS[k]: json_number(v, f"{path}: tolerances.{k}") for k, v in tol.items()}
     )
-    return params, tolerances, int(json_number(doc.get("max_steps", 1000), f"{path}: max_steps"))
+    return params, tolerances, _whole_number(doc.get("max_steps", 1000), f"{path}: max_steps")
 
 
 def load_scenario_file(path: Path) -> Scenario:
@@ -97,14 +113,12 @@ def load_scenario_file(path: Path) -> Scenario:
         raise UsageError(f"{path}: initial is missing {sorted(missing)}")
     initial = PlantState(*(json_number(init[k], f"{path}: initial.{k}") for k in _INITIAL_KEYS))
     params, tolerances, max_steps = _plant_settings(doc, path)
-    return Scenario(
-        initial=initial,
-        params=params,
-        tolerances=tolerances,
-        max_steps=max_steps,
-        mode=str(doc.get("mode", "cascade")),
-        label=str(doc.get("label", "")),
-    )
+    mode = _string(doc.get("mode", "cascade"), f"{path}: mode")
+    label = _string(doc.get("label", ""), f"{path}: label")
+    try:
+        return Scenario(initial, params, tolerances, max_steps, mode, label)
+    except UsageError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
 
 # -- Writers ------------------------------------------------------------------
@@ -220,7 +234,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         scenario = replace(scenario, max_steps=args.max_steps)
     controllers = _resolve_controllers(args)
     result = run(scenario, controllers)
-    trajectories = list(result) if isinstance(result, tuple) else [result]
+    trajectories = list(result) if scenario.mode == "both" else [result]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / "trajectory.csv", trajectories)
@@ -262,10 +276,17 @@ def load_grid_file(path: Path) -> tuple[SweepGrid, PlantParams, DockTolerance, i
         missing = _AXIS_KEYS - set(ax)
         if missing:
             raise UsageError(f"{path}: axes.{name} is missing {sorted(missing)}")
-        lo, hi, count = (
-            json_number(ax[k], f"{path}: axes.{name}.{k}") for k in ("min", "max", "count")
-        )
-        specs[name] = AxisSpec(lo, hi, int(count))
+        lo, hi = (json_number(ax[k], f"{path}: axes.{name}.{k}") for k in ("min", "max"))
+        count = _whole_number(ax["count"], f"{path}: axes.{name}.count")
+        # Sampling the axis here makes an overflowing one fail at load,
+        # naming the file and the axis.
+        try:
+            specs[name] = AxisSpec(lo, hi, count)
+            specs[name].values()
+        except UsageError as exc:
+            raise UsageError(f"{path}: axes.{name}: {exc}") from exc
+    if "label" in doc:
+        _string(doc["label"], f"{path}: label")
     return SweepGrid(**specs), *_plant_settings(doc, path)
 
 
@@ -372,12 +393,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except (UsageError, InputDomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    no_rule_fired = 0
+    show = warnings.showwarning
+
+    def record(message, category, *args, **kwargs):
+        # Counted, not kept: a gapped controller document can leave every
+        # point of a large surface uncovered.
+        nonlocal no_rule_fired
+        if issubclass(category, DegenerateFiringWarning):
+            no_rule_fired += 1
+        else:
+            show(message, category, *args, **kwargs)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", DegenerateFiringWarning)
+        warnings.showwarning = record
+        try:
+            args = parser.parse_args(argv)
+            code = args.func(args)
+        except (UsageError, InputDomainError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    if no_rule_fired:
+        print(
+            f"warning: no rule fired at {no_rule_fired} inputs; "
+            "used the consequent midpoint there",
+            file=sys.stderr,
+        )
+    return code
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import UsageError
 from .fuzzy import (
@@ -141,8 +142,7 @@ def flc_c(gamma: float, controllers: ControllerSet | None = None) -> float:
     return infer(cs.flc_c, [gamma])
 
 
-@dataclass(frozen=True)
-class CascadeOutput:
+class CascadeOutput(NamedTuple):
     """One controller evaluation: command, mismatch, steering."""
 
     beta_prime: float
@@ -154,8 +154,9 @@ def position_command(state, controllers: ControllerSet | None = None) -> tuple[f
     """The commanded cab angle beta' at a plant state and the mismatch
     gamma = beta' - beta, clamped to [-60, 60] defensively; with beta held
     inside [-30, 30] by the plant the clamp is a no-op."""
-    beta_prime = flc_t(state.x, state.alpha, controllers)
-    return beta_prime, min(max(beta_prime - state.beta, -GAMMA_LIMIT), GAMMA_LIMIT)
+    x, _, alpha, beta = state
+    beta_prime = flc_t(x, alpha, controllers)
+    return beta_prime, min(max(beta_prime - beta, -GAMMA_LIMIT), GAMMA_LIMIT)
 
 
 def cascade_step(state, controllers: ControllerSet | None = None) -> CascadeOutput:

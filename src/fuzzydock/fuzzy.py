@@ -1,8 +1,9 @@
 """Single-output Mamdani fuzzy inference over piecewise-linear term sets.
 
 The pipeline is fuzzify -> fire_rules -> defuzzify_centroid, with product
-conjunction and additive weighted-centroid aggregation. Everything here is
-generic: controllers supply concrete variables and rule tables.
+conjunction and additive weighted-centroid aggregation; ``infer`` fuses the
+three into one pass. Everything here is generic: controllers supply concrete
+variables and rule tables.
 
 Aggregation note: scaling a membership function by a rule weight scales its
 area linearly and leaves its centroid unchanged, so the centroid of the
@@ -10,20 +11,23 @@ weighted sum of consequents reduces to
 
     sum_r w_r * centroid_r * area_r / sum_r w_r * area_r
 
-which is what ``defuzzify_centroid`` evaluates in closed form.
+which is what ``defuzzify_centroid`` and ``infer`` evaluate in closed form.
 
 Variables and rule bases are compiled once, when they are built. Each
 LinguisticVariable keeps a segment table: the sorted distinct breakpoints and
 universe bounds, and for each half-open segment between them the terms that
 are nonzero there, each with the expression ``eval_membership`` uses on that
-segment and its precomputed denominator. Each RuleBase keeps a flat table
-from antecedent term positions (row-major over the variables' term orders) to
-rule index, and each rule's consequent (area, centroid). Firing finds each
-clamped input's segment with one bisection, evaluates only that segment's
-terms and multiplies the nonzero degrees in the dense factor order, since any
-product with a zero degree is zero; the centroid sums the fired rules in rule
-order with the same expressions as the dense definition. Results are
-bit-identical to evaluating every term and multiplying every rule.
+segment and its precomputed denominator. Each RuleBase keeps one cell per
+combination of antecedent segments: the rules that can fire there, in
+ascending rule index, each with the positions of its terms in the segments'
+term lists and its consequent (area, centroid). Inference finds each clamped
+input's segment with one bisection, evaluates that segment's terms and sums
+the cell's rules in one loop, with the same factors, expressions and rule
+order as the dense definition (every term evaluated, every rule multiplied);
+a rule with a zero degree adds +-0.0 to sums that start at +0.0 and leaves
+them unchanged. Results are bit-identical to the dense definition.
+``fire_rules`` builds the full firing vector from the same cells, and
+``defuzzify_centroid`` sums such a vector's nonzero weights in rule order.
 
 Compilation also rejects a variable whose geometry is not finite (a universe
 span, a ramp denominator or a consequent term's area and moment that
@@ -217,9 +221,9 @@ class LinguisticVariable:
         return tuple(label for label, _ in self.terms)
 
 
-def _nonzero_degrees(var: LinguisticVariable, u: float) -> list[tuple[int, float]]:
-    """(term index, degree) of the terms with a nonzero degree at ``u``, in
-    term order, from the segment table; each degree equals
+def _segment_degrees(var: LinguisticVariable, u: float) -> tuple[int, list[float]]:
+    """The segment of the clamped input and the degrees of that segment's
+    terms there, in segment-table order, zeros kept; each degree equals
     ``fuzzify(var, u)`` for that term bit for bit."""
     if not math.isfinite(u):
         raise InputDomainError(f"non-finite input {u!r} for variable {var.name!r}")
@@ -229,15 +233,14 @@ def _nonzero_degrees(var: LinguisticVariable, u: float) -> list[tuple[int, float
         u = lo
     elif u > hi:
         u = hi
+    k = bisect_right(var._edges, u)
+    # A loop, not a comprehension: it skips the comprehension's frame.
     degrees = []
-    for i, kind, foot, den in var._segments[bisect_right(var._edges, u)]:
-        if kind == _ONE:
-            degrees.append((i, 1.0))
-            continue
-        d = (u - foot) / den if kind == _RISE else (foot - u) / den
-        if d != 0.0:
-            degrees.append((i, d))
-    return degrees
+    for _, kind, foot, den in var._segments[k]:
+        degrees.append(
+            1.0 if kind == _ONE else (u - foot) / den if kind == _RISE else (foot - u) / den
+        )
+    return k, degrees
 
 
 def fuzzify(var: LinguisticVariable, u: float) -> dict[str, float]:
@@ -259,11 +262,16 @@ class RuleBase:
     antecedents: tuple[LinguisticVariable, ...]
     consequent: LinguisticVariable
     rules: tuple[tuple[tuple[str, ...], str], ...]
-    # Compiled in __post_init__: the rule index at each antecedent term
-    # position (row-major over the variables' term orders), and each rule's
-    # consequent (area, centroid).
-    _rule_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # Compiled in __post_init__: each rule's consequent (area, centroid), and
+    # one cell per combination of antecedent segments, row-major over the
+    # variables' segment tables. A cell lists the rules that can fire there
+    # in ascending rule index as (rule, p, q, area, centroid), p and q being
+    # the positions of the rule's terms in the segments' term lists (q is 0
+    # for one antecedent).
     _geometry: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
+    _cells: tuple[tuple[tuple[int, int, int, float, float], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.antecedents) not in (1, 2):
@@ -297,38 +305,52 @@ class RuleBase:
             (sum(area for area, _ in per_rule), sum(abs(area * c) for area, c in per_rule)),
         )
         index = {key: i for i, key in enumerate(seen)}
-        object.__setattr__(self, "_rule_at", tuple(index[key] for key in positions))
+        cells = []
+        for segments in itertools.product(*(v._segments for v in self.antecedents)):
+            cell = []
+            for at in itertools.product(*(range(len(segment)) for segment in segments)):
+                key = tuple(
+                    var.terms[segment[pos][0]][0]
+                    for var, segment, pos in zip(self.antecedents, segments, at)
+                )
+                rule = index[key]
+                p, q = (*at, 0)[:2]
+                cell.append((rule, p, q, *per_rule[rule]))
+            cells.append(tuple(sorted(cell)))
         object.__setattr__(self, "_geometry", per_rule)
+        object.__setattr__(self, "_cells", tuple(cells))
 
     def __len__(self) -> int:
         return len(self.rules)
 
 
-def fire_rules(rb: RuleBase, inputs: Sequence[float]) -> FiringVector:
-    """Product-conjunction activation weight per rule, in rule order.
-
-    Only combinations of nonzero degrees are multiplied; every other rule has
-    a zero factor and keeps weight 0.0.
-    """
+def _cell(rb: RuleBase, inputs: Sequence[float]) -> tuple[tuple, list[float], list[float] | None]:
+    """The cell of ``inputs`` and the degrees of its segments' terms, one
+    list per antecedent (the second list is ``None`` for one antecedent)."""
     if len(inputs) != len(rb.antecedents):
         raise UsageError(
             f"expected {len(rb.antecedents)} inputs, got {len(inputs)}"
         )
-    rule_at = rb._rule_at
-    weights: FiringVector = [0.0] * len(rule_at)
-    # The dense product is ((1.0 * d0) * d1); 1.0 * d0 == d0 exactly.
     if len(inputs) == 1:
-        for i, d0 in _nonzero_degrees(rb.antecedents[0], inputs[0]):
-            weights[rule_at[i]] = d0
-        return weights
-    first_var, second_var = rb.antecedents
-    first = _nonzero_degrees(first_var, inputs[0])
-    second = _nonzero_degrees(second_var, inputs[1])
-    stride = len(second_var.terms)
-    for i, d0 in first:
-        row = i * stride
-        for j, d1 in second:
-            weights[rule_at[row + j]] = d0 * d1
+        k, d0 = _segment_degrees(rb.antecedents[0], inputs[0])
+        return rb._cells[k], d0, None
+    first, second = rb.antecedents
+    k0, d0 = _segment_degrees(first, inputs[0])
+    k1, d1 = _segment_degrees(second, inputs[1])
+    return rb._cells[k0 * len(second._segments) + k1], d0, d1
+
+
+def fire_rules(rb: RuleBase, inputs: Sequence[float]) -> FiringVector:
+    """Product-conjunction activation weight per rule, in rule order.
+
+    Only the rules of the inputs' cell are multiplied; every other rule has
+    a zero factor and keeps weight 0.0.
+    """
+    cell, d0, d1 = _cell(rb, inputs)
+    weights: FiringVector = [0.0] * len(rb.rules)
+    # The dense product is ((1.0 * d0) * d1); 1.0 * d0 == d0 exactly.
+    for rule, p, q, _, _ in cell:
+        weights[rule] = d0[p] if d1 is None else d0[p] * d1[q]
     return weights
 
 
@@ -354,19 +376,44 @@ def defuzzify_centroid(rb: RuleBase, fv: FiringVector) -> float:
         num += weighted_area * centroid
         den += weighted_area
     if den <= 0.0:
-        lo, hi = rb.consequent.universe
-        warnings.warn(
-            f"no rule fired for {rb.consequent.name!r}; returning midpoint",
-            DegenerateFiringWarning,
-            stacklevel=2,
-        )
-        return (lo + hi) / 2.0
+        return _midpoint(rb)
     return num / den
 
 
+def _midpoint(rb: RuleBase) -> float:
+    lo, hi = rb.consequent.universe
+    warnings.warn(
+        f"no rule fired for {rb.consequent.name!r}; returning midpoint",
+        DegenerateFiringWarning,
+        stacklevel=3,
+    )
+    return (lo + hi) / 2.0
+
+
 def infer(rb: RuleBase, inputs: Sequence[float]) -> float:
-    """End-to-end inference: fuzzify, fire, defuzzify."""
-    return defuzzify_centroid(rb, fire_rules(rb, inputs))
+    """End-to-end inference in one pass over the inputs' cell.
+
+    Equal bit for bit to ``defuzzify_centroid(rb, fire_rules(rb, inputs))``:
+    the factors, expressions and rule order are the same, and a rule with a
+    zero degree adds +-0.0 to sums that start at +0.0, which leaves them
+    unchanged.
+    """
+    cell, d0, d1 = _cell(rb, inputs)
+    num = 0.0
+    den = 0.0
+    if d1 is None:
+        for _, p, _, area, centroid in cell:
+            weighted_area = d0[p] * area
+            num += weighted_area * centroid
+            den += weighted_area
+    else:
+        for _, p, q, area, centroid in cell:
+            weighted_area = (d0[p] * d1[q]) * area
+            num += weighted_area * centroid
+            den += weighted_area
+    if den <= 0.0:
+        return _midpoint(rb)
+    return num / den
 
 
 # -- JSON (de)serialization --------------------------------------------------

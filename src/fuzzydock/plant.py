@@ -7,8 +7,9 @@ and y is distance from the dock line.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import asin, cos, degrees, fmod, isfinite, radians, sin
+from typing import NamedTuple
 
 from .errors import InputDomainError, UsageError
 
@@ -31,28 +32,15 @@ ERROR = "error"
 OUTCOME_KINDS = (DOCKED, OUT_OF_BOUNDS, JACKKNIFED, TIMEOUT, INSUFFICIENT_SPACE, ERROR)
 
 
-def _sind(a: float) -> float:
-    return math.sin(math.radians(a))
-
-
-def _cosd(a: float) -> float:
-    return math.cos(math.radians(a))
-
-
-def _asind(v: float) -> float:
-    return math.degrees(math.asin(v))
-
-
 def wrap_angle(a: float) -> float:
     """Wrap to the half-open interval (-180, 180]."""
-    r = math.fmod(a + 180.0, 360.0)
+    r = fmod(a + 180.0, 360.0)
     if r <= 0.0:
         r += 360.0
     return r - 180.0
 
 
-@dataclass(frozen=True)
-class PlantState:
+class PlantState(NamedTuple):
     """x, y: center rear of the trailer; alpha: trailer deviation from the
     y-axis; beta: cab deviation relative to the trailer direction."""
 
@@ -62,8 +50,11 @@ class PlantState:
     beta: float
 
     def require_finite(self) -> None:
-        for name, v in (("x", self.x), ("y", self.y), ("alpha", self.alpha), ("beta", self.beta)):
-            if not math.isfinite(v):
+        x, y, alpha, beta = self
+        if isfinite(x) and isfinite(y) and isfinite(alpha) and isfinite(beta):
+            return
+        for name, v in zip(self._fields, self):
+            if not isfinite(v):
                 raise InputDomainError(f"non-finite state field {name}={v!r}")
 
 
@@ -112,11 +103,15 @@ class Outcome:
 
 def _trailer_motion(state: PlantState, d_c: float, params: PlantParams) -> tuple[float, float, float]:
     """Trailer x, y and alpha after the cab moves d_c along its heading."""
-    d_t = d_c * _cosd(state.beta)
-    x = state.x + d_t * _sind(state.alpha)
-    y = state.y + d_t * _cosd(state.alpha)
-    alpha = wrap_angle(state.alpha - _asind(d_c * _sind(state.beta) / params.l_t))
-    return x, y, alpha
+    x, y, alpha, beta = state
+    alpha_r = radians(alpha)
+    beta_r = radians(beta)
+    d_t = d_c * cos(beta_r)
+    return (
+        x + d_t * sin(alpha_r),
+        y + d_t * cos(alpha_r),
+        wrap_angle(alpha - degrees(asin(d_c * sin(beta_r) / params.l_t))),
+    )
 
 
 def step(state: PlantState, theta: float, params: PlantParams = PlantParams()) -> PlantState:
@@ -127,12 +122,13 @@ def step(state: PlantState, theta: float, params: PlantParams = PlantParams()) -
     arguments stay within [-1, 1].
     """
     state.require_finite()
-    if not math.isfinite(theta):
+    if not isfinite(theta):
         raise InputDomainError(f"non-finite steering angle {theta!r}")
     if abs(theta) > params.theta_max:
         raise UsageError(f"|theta| = {abs(theta)} exceeds theta_max = {params.theta_max}")
-    x, y, alpha = _trailer_motion(state, -params.v * _cosd(theta), params)
-    beta = state.beta - _asind(-params.v * _sind(theta) / params.l_c)
+    theta_r = radians(theta)
+    x, y, alpha = _trailer_motion(state, -params.v * cos(theta_r), params)
+    beta = state.beta - degrees(asin(-params.v * sin(theta_r) / params.l_c))
     # A cab angle past the abort threshold must stay visible to classify();
     # the operating clamp only applies inside the workable range.
     if abs(beta) <= JACKKNIFE_LIMIT:
@@ -147,7 +143,7 @@ def step_reference(state: PlantState, beta_command: float, params: PlantParams =
     current cab angle, then the cab angle is set directly to the command.
     """
     state.require_finite()
-    if not math.isfinite(beta_command):
+    if not isfinite(beta_command):
         raise InputDomainError(f"non-finite cab-angle command {beta_command!r}")
     if abs(beta_command) > params.beta_max:
         raise UsageError(
@@ -157,7 +153,8 @@ def step_reference(state: PlantState, beta_command: float, params: PlantParams =
 
 
 def dock_check(state: PlantState, tol: DockTolerance = DockTolerance()) -> bool:
-    return abs(state.x) <= tol.x_tol and state.y <= tol.y_tol and abs(state.alpha) <= tol.alpha_tol
+    x, y, alpha, _ = state
+    return abs(x) <= tol.x_tol and y <= tol.y_tol and abs(alpha) <= tol.alpha_tol
 
 
 def classify(
@@ -170,11 +167,13 @@ def classify(
     insufficient-space, out-of-bounds, timeout."""
     if dock_check(state, tol):
         return DOCKED
-    if abs(state.beta) > JACKKNIFE_LIMIT:
+    # Unpacking a named tuple costs less than reading its fields by name.
+    x, y, _, beta = state
+    if abs(beta) > JACKKNIFE_LIMIT:
         return JACKKNIFED
-    if state.y <= 0.0:
+    if y <= 0.0:
         return INSUFFICIENT_SPACE
-    if abs(state.x) > OUT_OF_BOUNDS_X:
+    if abs(x) > OUT_OF_BOUNDS_X:
         return OUT_OF_BOUNDS
     if step_count >= max_steps:
         return TIMEOUT

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .controllers import (
     CascadeOutput,
@@ -70,8 +70,7 @@ class Scenario:
             )
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(NamedTuple):
     """State before step ``step`` plus the controller outputs applied to it."""
 
     step: int
@@ -126,7 +125,7 @@ def run(scenario: Scenario, controllers: ControllerSet | None = None):
         while True:
             kind = classify(state, t, tolerances, max_steps)
             out = control(state)
-            samples.append(TrajectorySample(t, state, out.beta_prime, out.gamma, out.theta))
+            samples.append(TrajectorySample(t, state, *out))
             if kind != LIVE:
                 outcome = Outcome(kind, state, t)
                 break
@@ -152,8 +151,7 @@ def convergence_metric(a: Trajectory, b: Trajectory) -> ConvergenceReport:
     """Pointwise (x, y) distance, truncated to the shorter trajectory."""
     if not a.samples or not b.samples:
         raise UsageError("convergence metric needs non-empty trajectories")
-    sa, sb = a.samples[0].state, b.samples[0].state
-    if (sa.x, sa.y, sa.alpha, sa.beta) != (sb.x, sb.y, sb.alpha, sb.beta):
+    if a.samples[0].state != b.samples[0].state:
         raise UsageError("trajectories must share the initial state")
     m = min(len(a.samples), len(b.samples))
     distances = tuple(
@@ -241,6 +239,8 @@ def sweep(
     start state is invalid is recorded as an error outcome rather than
     aborting the sweep.
     """
+    if max_steps < 1:
+        raise UsageError("max_steps must be >= 1")
     params = params or PlantParams()
     tolerances = tolerances or DockTolerance()
     cells: list[SweepCell] = []

@@ -6,10 +6,10 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
-import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -24,8 +24,9 @@ from fuzzydock.controllers import (
     build_flc_t,
     bundled_controllers_path,
     controllers_to_json,
+    load_controllers,
 )
-from fuzzydock.errors import DegenerateFiringWarning
+from fuzzydock.fuzzy import eval_membership
 from fuzzydock.simulation import run
 
 REPO_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -247,6 +248,9 @@ class TestScenarioFileErrors:
             ("run", "params", {"v": None}),
             ("run", "params", {"v": 5.0}),
             ("run", "tolerances", [1.0]),
+            ("run", "label", ["a"]),
+            ("run", "mode", 5),
+            ("sweep", "label", 5),
             ("sweep", "axes", 5),
             ("sweep", "axes.x", [0, 0, 1]),
             ("sweep", "axes.x.min", "a"),
@@ -437,9 +441,7 @@ def _run_cli(argv):
     """(exit code, stderr lines) of one in-process CLI invocation."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateFiringWarning)
-            code = main(argv)
+        code = main(argv)
     return code, err.getvalue().splitlines()
 
 
@@ -532,6 +534,189 @@ class TestControllerDocumentProperty:
                     assert code == 1
                     assert len(err) == 1 and err[0].startswith("error:")
                     assert not csv_path.exists()
+
+
+class TestWholeNumberFields:
+    @pytest.mark.parametrize(
+        "verb, key, value",
+        [
+            ("run", "max_steps", 50.9),
+            ("run", "max_steps", 0),
+            ("sweep", "max_steps", 50.9),
+            ("sweep", "max_steps", 0),
+            ("sweep", "axes.x.count", 2.9),
+            ("sweep", "axes.beta.count", 0.5),
+        ],
+    )
+    def test_fraction_or_zero_names_file_and_key(self, tmp_path, verb, key, value):
+        if verb == "run":
+            doc = scenario_doc(0.0, 50.0, 0.0, 0.0)
+        else:
+            doc = grid_doc((-10, 10, 2), (50, 50, 1), (0, 0, 1), (0, 0, 1), max_steps=50)
+        *parents, last = key.split(".")
+        target = doc
+        for k in parents:
+            target = target[k]
+        target[last] = value
+        p = write_doc(tmp_path, "doc.json", doc)
+        code, err = _run_cli([verb, "--scenario", str(p), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert err == [f"error: {p}: {key} must be a whole number >= 1, got {value!r}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_whole_valued_floats_are_accepted(self, tmp_path):
+        doc = grid_doc((-10, 10, 2.0), (50, 50, 1), (0, 0, 1), (0, 0, 1), max_steps=50.0)
+        p = write_doc(tmp_path, "g.json", doc)
+        code, _ = _run_cli(["sweep", "--scenario", str(p), "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+        assert summary["cells"] == 2
+
+    def test_step_budget_flag_below_one_rejected(self, tmp_path):
+        p = write_doc(tmp_path, "g.json", grid_doc((0, 0, 1), (50, 50, 1), (0, 0, 1), (0, 0, 1)))
+        code, err = _run_cli(["sweep", "--scenario", str(p), "--out", str(tmp_path / "out"),
+                              "--max-steps", "0"])
+        assert code == 1
+        assert err == ["error: max_steps must be >= 1"]
+
+    def test_overflowing_axis_names_file_and_axis(self, tmp_path):
+        p = write_doc(
+            tmp_path, "g.json", grid_doc((0.0, 1.7e308, 3), (50, 50, 1), (0, 0, 1), (0, 0, 1))
+        )
+        code, err = _run_cli(["sweep", "--scenario", str(p), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert err == [f"error: {p}: axes.x: axis from 0.0 to 1.7e+308 in 3 points overflows"]
+        assert not (tmp_path / "out").exists()
+
+
+class TestDegenerateFiring:
+    def test_uncovered_inputs_give_one_warning_line(self, tmp_path):
+        # Gaps in G at [-3, -2] and [2, 3]: no G term is above zero there.
+        doc = copy.deepcopy(BUNDLED_CONTROLLERS)
+        terms = doc["flc_c"]["antecedents"][0]["terms"]
+        terms[2]["breakpoints"] = [-10.0, -5.0, -3.0]
+        terms[3]["breakpoints"] = [-2.0, 0.0, 2.0]
+        terms[4]["breakpoints"] = [3.0, 5.0, 10.0]
+        ctl = write_doc(tmp_path, "ctl.json", doc)
+        code, err = _run_cli(["surface", "flc_c", "--resolution", "241",
+                              "--out", str(tmp_path), "--controllers", str(ctl)])
+        assert code == 0
+        g = load_controllers(ctl).flc_c.antecedents[0]
+        rows = [(float(gamma), float(theta))
+                for gamma, theta in read_csv(tmp_path / "surface_flc_c.csv")[1:]]
+        uncovered = [theta for gamma, theta in rows
+                     if all(eval_membership(mf, gamma) == 0.0 for _, mf in g.terms)]
+        assert len(uncovered) == 6
+        assert uncovered == [0.0] * 6  # the midpoint of S's universe
+        assert err == ["warning: no rule fired at 6 inputs; used the consequent midpoint there"]
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+# Counts and step budgets stay small, so every draw runs in milliseconds.
+WHOLE_NUMBER_VALUES = {
+    "count": st.integers(-1, 3) | st.floats(-1.0, 3.0),
+    "max_steps": st.integers(-1, 60) | st.floats(-1.0, 60.0),
+}
+_DELETE = object()
+
+SCENARIO_DOCUMENT = {
+    "label": "probe",
+    "initial": {"x": 3.0, "y": 45.0, "alpha_deg": 5.0, "beta_deg": 0.0},
+    "params": {"v": 1.0, "l_c": 2.0, "l_t": 8.0, "theta_max_deg": 30.0, "beta_max_deg": 30.0},
+    "tolerances": {"x_tol": 2.0, "y_tol": 1.0, "alpha_tol_deg": 10.0},
+    "max_steps": 50,
+    "mode": "both",
+}
+GRID_DOCUMENT = {
+    "label": "probe",
+    "axes": {
+        "x": {"min": -3.0, "max": 3.0, "count": 2},
+        "y": {"min": 45.0, "max": 45.0, "count": 1},
+        "alpha": {"min": -5.0, "max": 5.0, "count": 2},
+        "beta": {"min": 0.0, "max": 0.0, "count": 1},
+    },
+    "params": SCENARIO_DOCUMENT["params"],
+    "tolerances": SCENARIO_DOCUMENT["tolerances"],
+    "max_steps": 50,
+}
+
+
+def _key_paths(doc, prefix=""):
+    for key, value in doc.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _key_paths(value, f"{prefix}{key}.")
+
+
+@st.composite
+def perturbed_document(draw, base):
+    """``base`` with one to three key paths set to arbitrary JSON values or
+    deleted; whole-number keys keep to small numbers when they get one."""
+    doc = copy.deepcopy(base)
+    for key in draw(st.lists(st.sampled_from(sorted(_key_paths(base))), min_size=1,
+                             max_size=3, unique=True)):
+        *parents, last = key.split(".")
+        target = doc
+        for k in parents:
+            target = target.get(k) if isinstance(target, dict) else None
+        if not isinstance(target, dict):
+            continue  # a parent was replaced by a draw before
+        if last in WHOLE_NUMBER_VALUES:
+            value = draw(WHOLE_NUMBER_VALUES[last] | JSON_VALUES.filter(
+                lambda v: not isinstance(v, (int, float)) or isinstance(v, bool)))
+        elif last == "mode":
+            value = draw(st.sampled_from(["cascade", "reference", "both"]) | JSON_VALUES)
+        else:
+            value = draw(st.just(_DELETE) | st.integers() | st.floats() | JSON_VALUES)
+        if value is _DELETE:
+            target.pop(last, None)
+        else:
+            target[last] = value
+    return doc
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} in a JSON artifact")
+
+
+def assert_artifacts_finite(out):
+    for path in out.iterdir():
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=_reject_constant)
+        else:
+            # The SVG title holds the free-form label; nothing else may
+            # spell a non-finite number.
+            text = re.sub(r"<title>.*?</title>", "", text, flags=re.S)
+            assert not re.search(r"(?i)nan|inf", text), path.name
+
+
+class TestDocumentProperty:
+    @pytest.mark.parametrize(
+        "verb, base", [("run", SCENARIO_DOCUMENT), ("sweep", GRID_DOCUMENT)]
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_value_at_any_key_runs_finite_or_fails_cleanly(self, verb, base, data):
+        doc = data.draw(perturbed_document(base))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            # json.dumps writes NaN and Infinity, which json.loads accepts.
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            out = Path(tmp) / "out"
+            code, err = _run_cli([verb, "--scenario", str(path), "--out", str(out)])
+            if code == 1:
+                assert len(err) == 1 and err[0].startswith("error:"), err
+            else:
+                assert code in (0, 2) and not err
+                assert_artifacts_finite(out)
 
 
 class TestUsage:

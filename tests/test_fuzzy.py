@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -386,6 +387,15 @@ def breakpoint_inputs(rb):
     return [list(inputs) for inputs in itertools.product(*axes)]
 
 
+def assert_one_pass_matches_vector(rb, inputs):
+    """``infer`` sums each cell in one pass; it must equal the vector form
+    bit for bit, signed zeros included."""
+    one_pass = infer(rb, inputs)
+    vector = defuzzify_centroid(rb, fire_rules(rb, inputs))
+    assert one_pass == vector
+    assert struct.pack("<d", one_pass) == struct.pack("<d", vector)
+
+
 @pytest.mark.parametrize("name", RULE_BASES)
 class TestSparseMatchesDense:
     def test_every_breakpoint_pair(self, name):
@@ -395,6 +405,7 @@ class TestSparseMatchesDense:
             assert len(weights) == len(rb)
             assert weights == dense_fire(rb, inputs)
             assert infer(rb, inputs) == dense_infer(rb, inputs)
+            assert_one_pass_matches_vector(rb, inputs)
 
     @given(st.data())
     def test_random_inputs(self, name, data):
@@ -407,6 +418,7 @@ class TestSparseMatchesDense:
         assert len(weights) == len(rb)
         assert weights == dense_fire(rb, inputs)
         assert infer(rb, inputs) == dense_infer(rb, inputs)
+        assert_one_pass_matches_vector(rb, inputs)
 
 
 class TestGapBetweenTerms:

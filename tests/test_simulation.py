@@ -3,13 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzydock.controllers import ControllerSet, default_controllers
+from fuzzydock.controllers import CascadeOutput, ControllerSet, default_controllers
 from fuzzydock.errors import UsageError
 from fuzzydock.plant import DOCKED, ERROR, INSUFFICIENT_SPACE, TIMEOUT, PlantParams, PlantState
 from fuzzydock.simulation import (
     AxisSpec,
     Scenario,
     SweepGrid,
+    TrajectorySample,
     convergence_metric,
     run,
     sweep,
@@ -203,6 +204,14 @@ class TestSweep:
         assert report.cells[0].kind == ERROR
         assert report.success_ratio == 0.0
 
+    def test_step_budget_below_one_rejected_before_any_cell(self):
+        grid = SweepGrid(
+            AxisSpec(0.0, 0.0, 1), AxisSpec(50.0, 50.0, 1),
+            AxisSpec(0.0, 0.0, 1), AxisSpec(0.0, 0.0, 1),
+        )
+        with pytest.raises(UsageError, match="max_steps"):
+            sweep(grid, max_steps=0)
+
     def test_axis_validation(self):
         with pytest.raises(UsageError):
             AxisSpec(0.0, 1.0, 0)
@@ -212,3 +221,20 @@ class TestSweep:
     def test_axis_values(self):
         assert AxisSpec(5.0, 5.0, 1).values() == [5.0]
         assert AxisSpec(0.0, 10.0, 3).values() == [0.0, 5.0, 10.0]
+
+
+class TestRecordsAreImmutable:
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            pytest.param(PlantState(0.0, 50.0, 0.0, 0.0), "x", id="PlantState"),
+            pytest.param(CascadeOutput(1.0, 2.0, 3.0), "theta", id="CascadeOutput"),
+            pytest.param(
+                TrajectorySample(0, PlantState(0.0, 50.0, 0.0, 0.0), 1.0, 2.0, 3.0), "step",
+                id="TrajectorySample",
+            ),
+        ],
+    )
+    def test_assigning_a_field_raises(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
