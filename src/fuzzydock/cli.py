@@ -9,7 +9,7 @@ and surface), 2 a run finished in a failure outcome, 1 usage or IO error.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import math
 import sys
@@ -34,15 +34,13 @@ from .simulation import (
     sweep,
 )
 
-_TRAJECTORY_COLUMNS = (
-    "step", "x", "y", "alpha_deg", "beta_deg",
-    "beta_prime_deg", "gamma_deg", "theta_deg", "mode",
+# CSV artifacts: a header row, comma-separated fields that never need
+# quoting, "\r\n" line ends, floats as "%.17g" (17 significant digits
+# round-trip any float exactly). Each row is one %-format.
+_TRAJECTORY_HEADER = (
+    "step,x,y,alpha_deg,beta_deg,beta_prime_deg,gamma_deg,theta_deg,mode\r\n"
 )
-
-
-def _g17(v: float) -> str:
-    # 17 significant digits round-trip any float exactly.
-    return format(float(v), ".17g")
+_SWEEP_HEADER = "x0,y0,alpha0,beta0,outcome,steps\r\n"
 
 
 # -- Scenario files -----------------------------------------------------------
@@ -89,15 +87,17 @@ def _string(value, where: str) -> str:
 def _plant_settings(doc: dict, path: Path) -> tuple[PlantParams, DockTolerance, int]:
     """The params, tolerances and max_steps shared by scenario and grid
     documents."""
-    par = _object(doc.get("params", {}), _PARAM_FIELDS, f"{path}: params")
-    tol = _object(doc.get("tolerances", {}), _TOL_FIELDS, f"{path}: tolerances")
-    params = PlantParams(
-        **{_PARAM_FIELDS[k]: json_number(v, f"{path}: params.{k}") for k, v in par.items()}
-    )
-    tolerances = DockTolerance(
-        **{_TOL_FIELDS[k]: json_number(v, f"{path}: tolerances.{k}") for k, v in tol.items()}
-    )
-    return params, tolerances, _whole_number(doc.get("max_steps", 1000), f"{path}: max_steps")
+    settings = []
+    for key, cls, fields in (("params", PlantParams, _PARAM_FIELDS),
+                             ("tolerances", DockTolerance, _TOL_FIELDS)):
+        where = f"{path}: {key}"
+        section = _object(doc.get(key, {}), fields, where)
+        values = {fields[k]: json_number(v, f"{where}.{k}") for k, v in section.items()}
+        try:
+            settings.append(cls(**values))
+        except UsageError as exc:
+            raise UsageError(f"{where}: {exc}") from exc
+    return *settings, _whole_number(doc.get("max_steps", 1000), f"{path}: max_steps")
 
 
 def load_scenario_file(path: Path) -> Scenario:
@@ -125,19 +125,14 @@ def load_scenario_file(path: Path) -> Scenario:
 
 def write_trajectory_csv(path: Path, trajectories: Sequence[Trajectory]) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TRAJECTORY_COLUMNS)
+        fh.write(_TRAJECTORY_HEADER)
         for trajectory in trajectories:
-            for s in trajectory.samples:
-                writer.writerow(
-                    [
-                        s.step,
-                        _g17(s.state.x), _g17(s.state.y),
-                        _g17(s.state.alpha), _g17(s.state.beta),
-                        _g17(s.beta_prime), _g17(s.gamma), _g17(s.theta),
-                        trajectory.mode,
-                    ]
-                )
+            # The mode is one of MODES, so it holds no "%" to escape.
+            row = "%d" + ",%.17g" * 7 + f",{trajectory.mode}\r\n"
+            fh.writelines(
+                row % (step, *state, beta_prime, gamma, theta)
+                for step, state, beta_prime, gamma, theta in trajectory.samples
+            )
 
 
 def write_outcome_json(path: Path, label: str, trajectories: Sequence[Trajectory]) -> None:
@@ -292,12 +287,11 @@ def load_grid_file(path: Path) -> tuple[SweepGrid, PlantParams, DockTolerance, i
 
 def write_sweep_csv(path: Path, report: SweepReport) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("x0", "y0", "alpha0", "beta0", "outcome", "steps"))
-        for c in report.cells:
-            writer.writerow(
-                [_g17(c.x), _g17(c.y), _g17(c.alpha), _g17(c.beta), c.kind, c.steps]
-            )
+        fh.write(_SWEEP_HEADER)
+        fh.writelines(
+            "%.17g,%.17g,%.17g,%.17g,%s,%d\r\n" % (c.x, c.y, c.alpha, c.beta, c.kind, c.steps)
+            for c in report.cells
+        )
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -333,23 +327,26 @@ def cmd_surface(args: argparse.Namespace) -> int:
         (lo_a, hi_a), (lo_x, hi_x) = (v.universe for v in controllers.flc_t.antecedents)
         alphas = AxisSpec(lo_a, hi_a, n).values()
         xs = AxisSpec(lo_x, hi_x, n).values()
-        header = ("x", "alpha_deg", "beta_prime_deg")
-        rows = (
-            [_g17(x), _g17(alpha), _g17(flc_t(x, alpha, controllers))]
-            for x in xs for alpha in alphas
+        header = "x,alpha_deg,beta_prime_deg\r\n"
+        # Each axis value is formatted once, and each x row is written as one
+        # string, so memory stays flat in the resolution.
+        alpha_cells = [(alpha, ",%.17g," % alpha) for alpha in alphas]
+        lines = (
+            "".join([f"{x_cell}{alpha_cell}{flc_t(x, alpha, controllers):.17g}\r\n"
+                     for alpha, alpha_cell in alpha_cells])
+            for x, x_cell in zip(xs, ["%.17g" % x for x in xs])
         )
     else:
         lo_g, hi_g = controllers.flc_c.antecedents[0].universe
         gammas = AxisSpec(lo_g, hi_g, n).values()
-        header = ("gamma_deg", "theta_deg")
-        rows = ([_g17(gamma), _g17(flc_c(gamma, controllers))] for gamma in gammas)
+        header = "gamma_deg,theta_deg\r\n"
+        lines = ("%.17g,%.17g\r\n" % (gamma, flc_c(gamma, controllers)) for gamma in gammas)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"surface_{args.controller}.csv"
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(header)
+        fh.writelines(lines)
     print(f"wrote {path}")
     return 0
 
@@ -363,7 +360,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    ``main`` call in the process; parsing leaves it unchanged."""
     parser = _Parser(prog="fuzzydock", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -373,21 +373,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mode", choices=("cascade", "reference", "both"), default=None)
     p_run.add_argument("--controllers", default=None, help="controller JSON override")
     p_run.add_argument("--max-steps", type=int, default=None)
-    p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a grid of initial conditions")
     p_sweep.add_argument("--scenario", required=True, help="grid JSON path")
     p_sweep.add_argument("--out", default=".", help="output directory")
     p_sweep.add_argument("--controllers", default=None, help="controller JSON override")
     p_sweep.add_argument("--max-steps", type=int, default=None)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_surface = sub.add_parser("surface", help="dump a controller response surface")
     p_surface.add_argument("controller", choices=("flc_t", "flc_c"))
     p_surface.add_argument("--resolution", type=int, default=101)
     p_surface.add_argument("--out", default=".", help="output directory")
     p_surface.add_argument("--controllers", default=None, help="controller JSON override")
-    p_surface.set_defaults(func=cmd_surface)
     return parser
 
 
@@ -410,7 +407,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         warnings.showwarning = record
         try:
             args = parser.parse_args(argv)
-            code = args.func(args)
+            # Resolved per call, not bound into the cached parser, so a command
+            # function replaced after the first call (by a tracer, say) runs.
+            code = globals()[f"cmd_{args.command}"](args)
         except (UsageError, InputDomainError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

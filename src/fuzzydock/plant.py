@@ -93,6 +93,14 @@ class DockTolerance:
     alpha_tol: float = 10.0
     y_tol: float = 1.0
 
+    def __post_init__(self) -> None:
+        # A negative tolerance would make docking impossible and every run
+        # end in a failure label that does not describe it.
+        for name in ("x_tol", "alpha_tol", "y_tol"):
+            value = getattr(self, name)
+            if not (isfinite(value) and value >= 0):
+                raise UsageError(f"{name} must be a finite number >= 0, got {value!r}")
+
 
 @dataclass(frozen=True)
 class Outcome:

@@ -11,12 +11,14 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzydock.cli import load_scenario_file, main
+from fuzzydock import cli
+from fuzzydock.cli import build_parser, load_grid_file, load_scenario_file, main
 from fuzzydock.controllers import (
     PEAKS,
     ControllerSet,
@@ -24,10 +26,13 @@ from fuzzydock.controllers import (
     build_flc_t,
     bundled_controllers_path,
     controllers_to_json,
+    default_controllers,
+    flc_c,
+    flc_t,
     load_controllers,
 )
 from fuzzydock.fuzzy import eval_membership
-from fuzzydock.simulation import run
+from fuzzydock.simulation import AxisSpec, run, sweep
 
 REPO_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -247,7 +252,9 @@ class TestScenarioFileErrors:
             ("run", "max_steps", float("inf")),
             ("run", "params", {"v": None}),
             ("run", "params", {"v": 5.0}),
+            ("run", "params", {"theta_max_deg": 120}),
             ("run", "tolerances", [1.0]),
+            ("run", "tolerances", {"x_tol": -1.0}),
             ("run", "label", ["a"]),
             ("run", "mode", 5),
             ("sweep", "label", 5),
@@ -257,7 +264,9 @@ class TestScenarioFileErrors:
             ("sweep", "axes.x.min", float("nan")),
             ("sweep", "max_steps", "x"),
             ("sweep", "params", {"v": None}),
+            ("sweep", "params", {"theta_max_deg": 120}),
             ("sweep", "tolerances", {"x_tol": "2"}),
+            ("sweep", "tolerances", {"y_tol": -5.0}),
         ],
     )
     def test_malformed_document_gives_one_error_line(self, tmp_path, capsys, verb, key, value):
@@ -274,8 +283,16 @@ class TestScenarioFileErrors:
         code = main([verb, "--scenario", str(p), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error:")
+        assert err.startswith(f"error: {p}: ")
         assert err.count("\n") == 1
+
+    def test_zero_tolerances_are_accepted(self, tmp_path):
+        doc = scenario_doc(
+            0.0, 30.0, 0.0, 0.0, tolerances={"x_tol": 0, "y_tol": 0, "alpha_tol_deg": 0}
+        )
+        p = write_doc(tmp_path, "s.json", doc)
+        code, err = _run_cli(["run", "--scenario", str(p), "--out", str(tmp_path)])
+        assert (code, err) == (0, [])
 
     @pytest.mark.parametrize(
         "content",
@@ -789,3 +806,141 @@ class TestUsage:
         )
         assert proc.returncode == 0, proc.stderr
         assert "docked" in proc.stdout
+
+
+# -- Artifact bytes -------------------------------------------------------------
+
+def _g17(v):
+    return format(float(v), ".17g")
+
+
+def csv_writer_bytes(header, rows):
+    """The CSV bytes that ``csv.writer`` gives for ``header`` and ``rows``:
+    the rendering the writers are pinned to."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def wide_overlap(doc):
+    """``doc`` with every term reaching two peaks to each side instead of
+    one, so that up to three terms of a variable overlap."""
+    wide = copy.deepcopy(doc)
+    for rb in wide.values():
+        for var in [*rb["antecedents"], rb["consequent"]]:
+            terms = var["terms"]
+            peaks = [var["universe"][0], *(t["breakpoints"][1] for t in terms[1:-1]),
+                     var["universe"][1]]
+            last = len(peaks) - 1
+            terms[0]["breakpoints"] = [peaks[0], peaks[2]]
+            terms[-1]["breakpoints"] = [peaks[-3], peaks[-1]]
+            for i in range(1, last):
+                terms[i]["breakpoints"] = [peaks[max(i - 2, 0)], peaks[i], peaks[min(i + 2, last)]]
+    return wide
+
+
+class TestArtifactBytes:
+    """Every CSV artifact is byte for byte what ``csv.writer`` with floats
+    through ``format(float(v), ".17g")`` writes for the same values."""
+
+    @pytest.mark.parametrize("yard", sorted(REPO_SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+    def test_trajectory_csv(self, tmp_path, yard):
+        code, _ = _run_cli(["run", "--scenario", str(yard), "--mode", "both",
+                            "--out", str(tmp_path)])
+        assert code in (0, 2)
+        trajectories = run(replace(load_scenario_file(yard), mode="both"))
+        expected = csv_writer_bytes(
+            ("step", "x", "y", "alpha_deg", "beta_deg",
+             "beta_prime_deg", "gamma_deg", "theta_deg", "mode"),
+            [
+                [s.step, *map(_g17, s.state), _g17(s.beta_prime), _g17(s.gamma),
+                 _g17(s.theta), t.mode]
+                for t in trajectories for s in t.samples
+            ],
+        )
+        assert (tmp_path / "trajectory.csv").read_bytes() == expected
+
+    def test_sweep_csv_with_error_cell_and_negative_zero(self, tmp_path):
+        # y0 = -5 is an invalid start, recorded as an error cell; alpha0 =
+        # -10/3 needs all 17 digits.
+        p = write_doc(
+            tmp_path, "g.json",
+            grid_doc((-0.0, -0.0, 1), (-5, 30, 2), (-10, 10, 4), (-0.0, -0.0, 1), max_steps=200),
+        )
+        code, _ = _run_cli(["sweep", "--scenario", str(p), "--out", str(tmp_path)])
+        assert code == 0
+        report = sweep(*load_grid_file(p))
+        expected = csv_writer_bytes(
+            ("x0", "y0", "alpha0", "beta0", "outcome", "steps"),
+            [[_g17(c.x), _g17(c.y), _g17(c.alpha), _g17(c.beta), c.kind, c.steps]
+             for c in report.cells],
+        )
+        actual = (tmp_path / "sweep.csv").read_bytes()
+        assert actual == expected
+        assert b"\r\n-0,-5,-10,-0,error,0\r\n" in actual
+
+    @pytest.mark.parametrize("resolution", [2, 7, 101])
+    @pytest.mark.parametrize("document", ["bundled", "wide-overlap"])
+    @pytest.mark.parametrize("controller", ["flc_t", "flc_c"])
+    def test_surface_csv(self, tmp_path, controller, document, resolution):
+        argv = ["surface", controller, "--resolution", str(resolution), "--out", str(tmp_path)]
+        if document == "bundled":
+            controllers = default_controllers()
+        else:
+            ctl = write_doc(tmp_path, "ctl.json", wide_overlap(BUNDLED_CONTROLLERS))
+            controllers = load_controllers(ctl)
+            argv += ["--controllers", str(ctl)]
+        code, _ = _run_cli(argv)
+        assert code == 0
+        if controller == "flc_t":
+            (lo_a, hi_a), (lo_x, hi_x) = (v.universe for v in controllers.flc_t.antecedents)
+            expected = csv_writer_bytes(
+                ("x", "alpha_deg", "beta_prime_deg"),
+                [[_g17(x), _g17(alpha), _g17(flc_t(x, alpha, controllers))]
+                 for x in AxisSpec(lo_x, hi_x, resolution).values()
+                 for alpha in AxisSpec(lo_a, hi_a, resolution).values()],
+            )
+        else:
+            lo_g, hi_g = controllers.flc_c.antecedents[0].universe
+            expected = csv_writer_bytes(
+                ("gamma_deg", "theta_deg"),
+                [[_g17(gamma), _g17(flc_c(gamma, controllers))]
+                 for gamma in AxisSpec(lo_g, hi_g, resolution).values()],
+            )
+        assert (tmp_path / f"surface_{controller}.csv").read_bytes() == expected
+
+
+class TestSharedParser:
+    """``main`` reuses one parser per process; no call may leak into the next."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_mode_flag_does_not_stick(self, tmp_path):
+        doc = write_doc(tmp_path, "s.json", scenario_doc(-60.0, 120.0, 30.0, 0.0, mode="both"))
+        first, second = tmp_path / "first", tmp_path / "second"
+        _run_cli(["run", "--scenario", str(doc), "--mode", "reference", "--out", str(first)])
+        _run_cli(["run", "--scenario", str(doc), "--out", str(second)])
+        assert {r[-1] for r in read_csv(first / "trajectory.csv")[1:]} == {"reference"}
+        assert {r[-1] for r in read_csv(second / "trajectory.csv")[1:]} == {"cascade", "reference"}
+
+    def test_resolution_flag_does_not_stick(self, tmp_path):
+        assert _run_cli(["surface", "flc_c", "--resolution", "7", "--out", str(tmp_path)])[0] == 0
+        assert _run_cli(["surface", "flc_t", "--out", str(tmp_path)])[0] == 0
+        assert len(read_csv(tmp_path / "surface_flc_c.csv")) == 7 + 1
+        assert len(read_csv(tmp_path / "surface_flc_t.csv")) == 101 * 101 + 1
+
+    def test_command_is_resolved_per_call(self, tmp_path, monkeypatch):
+        assert _run_cli(["surface", "flc_c", "--resolution", "2", "--out", str(tmp_path)])[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_surface", lambda args: seen.append(args.resolution) or 0)
+        assert _run_cli(["surface", "flc_c", "--resolution", "3", "--out", str(tmp_path)]) == (0, [])
+        assert seen == [3]
+
+    def test_usage_error_does_not_change_the_next_call(self, tmp_path):
+        code, err = _run_cli(["surface", "flc_c", "--resolution", "x", "--out", str(tmp_path)])
+        assert code == 1 and err[0].startswith("error:")
+        assert _run_cli(["surface", "flc_c", "--out", str(tmp_path)]) == (0, [])
+        assert len(read_csv(tmp_path / "surface_flc_c.csv")) == 101 + 1

@@ -1,7 +1,11 @@
 """Controller-level tests: table fidelity, symmetry, ranges, persistence."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -204,6 +208,19 @@ class TestPersistence:
 
     def test_round_trip(self, cs):
         assert controllers_from_dict(json.loads(controllers_to_json(cs))) == cs
+
+    def test_regen_script_reproduces_bundled_bytes(self, tmp_path):
+        # The benchmark reads the bundled file directly, so it must stay what
+        # the builders write. Run as the README says, from a checkout.
+        root = Path(__file__).resolve().parent.parent
+        out = tmp_path / "controllers.json"
+        proc = subprocess.run(
+            [sys.executable, "scripts/regen_controllers_json.py", "--out", str(out)],
+            cwd=root, capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": "src"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == bundled_controllers_path().read_bytes()
 
     def test_rejects_wrong_top_level_keys(self):
         with pytest.raises(UsageError):

@@ -151,6 +151,17 @@ class TestDockCheck:
         assert not dock_check(PlantState(1.0, 0.05, 0.0, 0.0), tol)
         assert dock_check(PlantState(0.4, 0.05, -1.0, 0.0), tol)
 
+    @pytest.mark.parametrize("field", ["x_tol", "alpha_tol", "y_tol"])
+    @pytest.mark.parametrize("value", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_or_non_finite_tolerance(self, field, value):
+        with pytest.raises(UsageError, match=field):
+            DockTolerance(**{field: value})
+
+    def test_zero_tolerance_means_exact(self):
+        tol = DockTolerance(x_tol=0.0, alpha_tol=0.0, y_tol=0.0)
+        assert dock_check(PlantState(0.0, 0.0, 0.0, 0.0), tol)
+        assert not dock_check(PlantState(1e-9, 0.0, 0.0, 0.0), tol)
+
 
 class TestClassify:
     def test_docked_wins(self):
