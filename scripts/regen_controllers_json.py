@@ -10,7 +10,7 @@ table, then commit the result.
 import argparse
 from pathlib import Path
 
-from fuzzydock.controllers import ControllerSet, build_flc_c, build_flc_t, controllers_to_json
+from fuzzydock.controllers import controllers_to_json, default_controllers
 
 
 def main() -> None:
@@ -19,10 +19,7 @@ def main() -> None:
     parser.add_argument("--out", type=Path, default=default_out)
     args = parser.parse_args()
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(
-        controllers_to_json(ControllerSet(build_flc_t(), build_flc_c())),
-        encoding="utf-8",
-    )
+    args.out.write_text(controllers_to_json(default_controllers()), encoding="utf-8")
     print(f"wrote {args.out}")
 
 

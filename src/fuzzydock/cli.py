@@ -24,6 +24,7 @@ from .errors import DegenerateFiringWarning, InputDomainError, UsageError
 from .fuzzy import json_number, load_json
 from .plant import DOCKED, DockTolerance, PlantParams, PlantState
 from .simulation import (
+    MODES,
     AxisSpec,
     Scenario,
     SweepGrid,
@@ -55,17 +56,17 @@ _PARAM_FIELDS = {
 _TOL_FIELDS = {"x_tol": "x_tol", "y_tol": "y_tol", "alpha_tol_deg": "alpha_tol"}
 
 
-def _check_keys(doc: dict, allowed, where: str) -> None:
-    unknown = set(doc).difference(allowed)
-    if unknown:
-        raise UsageError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-def _object(value, allowed, where: str) -> dict:
-    """``value`` as a JSON object whose keys all lie in ``allowed``."""
+def _object(value, allowed, where: str, required=()) -> dict:
+    """``value`` as a JSON object whose keys all lie in ``allowed`` and
+    include every key in ``required``."""
     if not isinstance(value, dict):
         raise UsageError(f"{where} must be a JSON object, got {value!r}")
-    _check_keys(value, allowed, where)
+    unknown = set(value).difference(allowed)
+    if unknown:
+        raise UsageError(f"unknown key(s) {sorted(unknown)} in {where}")
+    missing = set(required).difference(value)
+    if missing:
+        raise UsageError(f"{where} is missing {sorted(missing)}")
     return value
 
 
@@ -103,14 +104,8 @@ def _plant_settings(doc: dict, path: Path) -> tuple[PlantParams, DockTolerance, 
 def load_scenario_file(path: Path) -> Scenario:
     """Parse a scenario document; unknown keys are rejected, missing optional
     sections take the library defaults."""
-    doc = load_json(path)
-    _check_keys(doc, _TOP_KEYS, str(path))
-    if "initial" not in doc:
-        raise UsageError(f"{path}: missing required key 'initial'")
-    init = _object(doc["initial"], _INITIAL_KEYS, f"{path}: initial")
-    missing = set(_INITIAL_KEYS) - set(init)
-    if missing:
-        raise UsageError(f"{path}: initial is missing {sorted(missing)}")
+    doc = _object(load_json(path), _TOP_KEYS, str(path), ("initial",))
+    init = _object(doc["initial"], _INITIAL_KEYS, f"{path}: initial", _INITIAL_KEYS)
     initial = PlantState(*(json_number(init[k], f"{path}: initial.{k}") for k in _INITIAL_KEYS))
     params, tolerances, max_steps = _plant_settings(doc, path)
     mode = _string(doc.get("mode", "cascade"), f"{path}: mode")
@@ -142,12 +137,7 @@ def write_outcome_json(path: Path, label: str, trajectories: Sequence[Trajectory
             t.mode: {
                 "kind": t.outcome.kind,
                 "steps": t.outcome.steps,
-                "final_state": {
-                    "x": t.outcome.final_state.x,
-                    "y": t.outcome.final_state.y,
-                    "alpha_deg": t.outcome.final_state.alpha,
-                    "beta_deg": t.outcome.final_state.beta,
-                },
+                "final_state": dict(zip(_INITIAL_KEYS, t.outcome.final_state)),
             }
             for t in trajectories
         },
@@ -258,19 +248,11 @@ _AXIS_NAMES = ("x", "y", "alpha", "beta")
 
 
 def load_grid_file(path: Path) -> tuple[SweepGrid, PlantParams, DockTolerance, int]:
-    doc = load_json(path)
-    _check_keys(doc, _GRID_KEYS, str(path))
-    if "axes" not in doc:
-        raise UsageError(f"{path}: missing required key 'axes'")
-    axes = _object(doc["axes"], _AXIS_NAMES, f"{path}: axes")
+    doc = _object(load_json(path), _GRID_KEYS, str(path), ("axes",))
+    axes = _object(doc["axes"], _AXIS_NAMES, f"{path}: axes", _AXIS_NAMES)
     specs = {}
     for name in _AXIS_NAMES:
-        if name not in axes:
-            raise UsageError(f"{path}: axes is missing {name!r}")
-        ax = _object(axes[name], _AXIS_KEYS, f"{path}: axes.{name}")
-        missing = _AXIS_KEYS - set(ax)
-        if missing:
-            raise UsageError(f"{path}: axes.{name} is missing {sorted(missing)}")
+        ax = _object(axes[name], _AXIS_KEYS, f"{path}: axes.{name}", _AXIS_KEYS)
         lo, hi = (json_number(ax[k], f"{path}: axes.{name}.{k}") for k in ("min", "max"))
         count = _whole_number(ax["count"], f"{path}: axes.{name}.count")
         # Sampling the axis here makes an overflowing one fail at load,
@@ -280,8 +262,7 @@ def load_grid_file(path: Path) -> tuple[SweepGrid, PlantParams, DockTolerance, i
             specs[name].values()
         except UsageError as exc:
             raise UsageError(f"{path}: axes.{name}: {exc}") from exc
-    if "label" in doc:
-        _string(doc["label"], f"{path}: label")
+    _string(doc.get("label", ""), f"{path}: label")
     return SweepGrid(**specs), *_plant_settings(doc, path)
 
 
@@ -369,22 +350,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate one scenario file")
     p_run.add_argument("--scenario", required=True, help="scenario JSON path")
-    p_run.add_argument("--out", default=".", help="output directory")
-    p_run.add_argument("--mode", choices=("cascade", "reference", "both"), default=None)
-    p_run.add_argument("--controllers", default=None, help="controller JSON override")
-    p_run.add_argument("--max-steps", type=int, default=None)
+    p_run.add_argument("--mode", choices=MODES, default=None)
 
     p_sweep = sub.add_parser("sweep", help="run a grid of initial conditions")
     p_sweep.add_argument("--scenario", required=True, help="grid JSON path")
-    p_sweep.add_argument("--out", default=".", help="output directory")
-    p_sweep.add_argument("--controllers", default=None, help="controller JSON override")
-    p_sweep.add_argument("--max-steps", type=int, default=None)
 
     p_surface = sub.add_parser("surface", help="dump a controller response surface")
     p_surface.add_argument("controller", choices=("flc_t", "flc_c"))
     p_surface.add_argument("--resolution", type=int, default=101)
-    p_surface.add_argument("--out", default=".", help="output directory")
-    p_surface.add_argument("--controllers", default=None, help="controller JSON override")
+
+    for verb in (p_run, p_sweep, p_surface):
+        verb.add_argument("--out", default=".", help="output directory")
+        verb.add_argument("--controllers", default=None, help="controller JSON override")
+    for verb in (p_run, p_sweep):
+        verb.add_argument("--max-steps", type=int, default=None)
     return parser
 
 

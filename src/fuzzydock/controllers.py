@@ -8,6 +8,7 @@ gamma = beta' - beta to a steering angle theta. Chaining them turns a
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -119,27 +120,21 @@ class ControllerSet:
     flc_c: RuleBase
 
 
-_DEFAULT: ControllerSet | None = None
-
-
+@functools.cache
 def default_controllers() -> ControllerSet:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = ControllerSet(build_flc_t(), build_flc_c())
-    return _DEFAULT
+    """The shipped pair, built on the first call and shared after it."""
+    return ControllerSet(build_flc_t(), build_flc_c())
 
 
-def flc_t(x: float, alpha: float, controllers: ControllerSet | None = None) -> float:
+def flc_t(x: float, alpha: float, controllers: ControllerSet) -> float:
     """Commanded cab-trailer angle beta' for a trailer at offset x with
     heading alpha. Inputs are clamped to the controller universes."""
-    cs = controllers or default_controllers()
-    return infer(cs.flc_t, [alpha, x])
+    return infer(controllers.flc_t, [alpha, x])
 
 
-def flc_c(gamma: float, controllers: ControllerSet | None = None) -> float:
+def flc_c(gamma: float, controllers: ControllerSet) -> float:
     """Steering angle theta for a cab-angle mismatch gamma."""
-    cs = controllers or default_controllers()
-    return infer(cs.flc_c, [gamma])
+    return infer(controllers.flc_c, [gamma])
 
 
 class CascadeOutput(NamedTuple):
@@ -150,7 +145,7 @@ class CascadeOutput(NamedTuple):
     theta: float
 
 
-def position_command(state, controllers: ControllerSet | None = None) -> tuple[float, float]:
+def position_command(state, controllers: ControllerSet) -> tuple[float, float]:
     """The commanded cab angle beta' at a plant state and the mismatch
     gamma = beta' - beta, clamped to [-60, 60] defensively; with beta held
     inside [-30, 30] by the plant the clamp is a no-op."""
@@ -159,14 +154,18 @@ def position_command(state, controllers: ControllerSet | None = None) -> tuple[f
     return beta_prime, min(max(beta_prime - beta, -GAMMA_LIMIT), GAMMA_LIMIT)
 
 
-def cascade_step(state, controllers: ControllerSet | None = None) -> CascadeOutput:
+def cascade_step(state, controllers: ControllerSet) -> CascadeOutput:
     """Evaluate the full cascade at a plant state."""
-    cs = controllers or default_controllers()
-    beta_prime, gamma = position_command(state, cs)
-    return CascadeOutput(beta_prime, gamma, flc_c(gamma, cs))
+    beta_prime, gamma = position_command(state, controllers)
+    return CascadeOutput(beta_prime, gamma, flc_c(gamma, controllers))
 
 
 # -- Persistence --------------------------------------------------------------
+
+# The antecedent names each controller's inputs bind to, in the order
+# ``flc_t`` and ``flc_c`` pass their inputs to ``infer``.
+_INPUTS = {"flc_t": ("A", "X"), "flc_c": ("G",)}
+
 
 def controllers_to_json(cs: ControllerSet) -> str:
     doc = {"flc_t": rulebase_to_dict(cs.flc_t), "flc_c": rulebase_to_dict(cs.flc_c)}
@@ -176,11 +175,17 @@ def controllers_to_json(cs: ControllerSet) -> str:
 def controllers_from_dict(doc: dict, where: str = "controller document") -> ControllerSet:
     if set(doc) != {"flc_t", "flc_c"}:
         raise UsageError(f"{where} must have exactly the keys flc_t, flc_c")
-    rb_t = rulebase_from_dict(doc["flc_t"], f"{where}: flc_t")
-    rb_c = rulebase_from_dict(doc["flc_c"], f"{where}: flc_c")
-    if len(rb_t.antecedents) != 2 or len(rb_c.antecedents) != 1:
-        raise UsageError(f"{where}: flc_t needs two antecedent variables and flc_c one")
-    return ControllerSet(rb_t, rb_c)
+    rule_bases = {}
+    for key, names in _INPUTS.items():
+        rb = rulebase_from_dict(doc[key], f"{where}: {key}")
+        got = tuple(var.name for var in rb.antecedents)
+        if got != names:
+            raise UsageError(
+                f"{where}: {key}.antecedents must be named {list(names)} in that order, "
+                f"got {list(got)}"
+            )
+        rule_bases[key] = rb
+    return ControllerSet(**rule_bases)
 
 
 def load_controllers(path: str | Path) -> ControllerSet:

@@ -2,36 +2,10 @@
 
 The pipeline is fuzzify -> fire_rules -> defuzzify_centroid, with product
 conjunction and additive weighted-centroid aggregation; ``infer`` fuses the
-three into one pass. Everything here is generic: controllers supply concrete
-variables and rule tables.
-
-Aggregation note: scaling a membership function by a rule weight scales its
-area linearly and leaves its centroid unchanged, so the centroid of the
-weighted sum of consequents reduces to
-
-    sum_r w_r * centroid_r * area_r / sum_r w_r * area_r
-
-which is what ``defuzzify_centroid`` and ``infer`` evaluate in closed form.
-
-Variables and rule bases are compiled once, when they are built. Each
-LinguisticVariable keeps a segment table: the sorted distinct breakpoints and
-universe bounds, and for each half-open segment between them the terms that
-are nonzero there, each with the expression ``eval_membership`` uses on that
-segment and its precomputed denominator. Each RuleBase keeps one cell per
-combination of antecedent segments: the rules that can fire there, in
-ascending rule index, each with the positions of its terms in the segments'
-term lists and its consequent (area, centroid). Inference finds each clamped
-input's segment with one bisection, evaluates that segment's terms and sums
-the cell's rules in one loop, with the same factors, expressions and rule
-order as the dense definition (every term evaluated, every rule multiplied);
-a rule with a zero degree adds +-0.0 to sums that start at +0.0 and leaves
-them unchanged. Results are bit-identical to the dense definition.
-``fire_rules`` builds the full firing vector from the same cells, and
-``defuzzify_centroid`` sums such a vector's nonzero weights in rule order.
-
-Compilation also rejects a variable whose geometry is not finite (a universe
-span, a ramp denominator or a consequent term's area and moment that
-overflow), so inference on finite inputs never produces ``nan`` or ``inf``.
+three into one pass over tables compiled when a variable or rule base is
+built, with results bit-identical to the dense definition. The README's
+"Inference" section describes the tables and the aggregation. Everything
+here is generic: controllers supply concrete variables and rule tables.
 """
 
 from __future__ import annotations
@@ -53,9 +27,6 @@ RIGHT_SHOULDER = "right-shoulder"
 
 _KINDS = (TRIANGULAR, LEFT_SHOULDER, RIGHT_SHOULDER)
 _BREAKPOINT_COUNT = {TRIANGULAR: 3, LEFT_SHOULDER: 2, RIGHT_SHOULDER: 2}
-
-#: Per-rule activation weights, index-aligned with RuleBase.rules.
-FiringVector = list
 
 
 @dataclass(frozen=True)
@@ -340,22 +311,23 @@ def _cell(rb: RuleBase, inputs: Sequence[float]) -> tuple[tuple, list[float], li
     return rb._cells[k0 * len(second._segments) + k1], d0, d1
 
 
-def fire_rules(rb: RuleBase, inputs: Sequence[float]) -> FiringVector:
+def fire_rules(rb: RuleBase, inputs: Sequence[float]) -> list[float]:
     """Product-conjunction activation weight per rule, in rule order.
 
     Only the rules of the inputs' cell are multiplied; every other rule has
     a zero factor and keeps weight 0.0.
     """
     cell, d0, d1 = _cell(rb, inputs)
-    weights: FiringVector = [0.0] * len(rb.rules)
+    weights = [0.0] * len(rb.rules)
     # The dense product is ((1.0 * d0) * d1); 1.0 * d0 == d0 exactly.
     for rule, p, q, _, _ in cell:
         weights[rule] = d0[p] if d1 is None else d0[p] * d1[q]
     return weights
 
 
-def defuzzify_centroid(rb: RuleBase, fv: FiringVector) -> float:
-    """Centroid of the weighted-consequent aggregate (see module docstring).
+def defuzzify_centroid(rb: RuleBase, fv: Sequence[float]) -> float:
+    """Centroid of the weighted-consequent aggregate (see the README's
+    "Inference" section).
 
     An all-zero firing vector falls back to the universe midpoint and emits a
     DegenerateFiringWarning instead of dividing by zero.
@@ -422,18 +394,30 @@ def infer(rb: RuleBase, inputs: Sequence[float]) -> float:
 # ``load_json`` and ``json_number`` are the one file reader and the one number
 # check for every document the CLI reads: controllers, scenarios and grids.
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is a UsageError
+    rather than the last value silently winning."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise UsageError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_json(path: Path) -> dict:
-    """The JSON object in the UTF-8 file at ``path``; anything else is a
-    UsageError naming the file."""
+    """The JSON object in the UTF-8 file at ``path``; anything else,
+    including an object that repeats a key, is a UsageError naming the
+    file."""
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal past Python's digit limit
+    except ValueError as exc:  # a repeated key, or an integer past Python's digit limit
         raise UsageError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"{path}: top level must be a JSON object")

@@ -28,9 +28,6 @@ OUT_OF_BOUNDS = "out-of-bounds"
 TIMEOUT = "timeout"
 ERROR = "error"
 
-#: Terminal kinds a finished trajectory can carry.
-OUTCOME_KINDS = (DOCKED, OUT_OF_BOUNDS, JACKKNIFED, TIMEOUT, INSUFFICIENT_SPACE, ERROR)
-
 
 def wrap_angle(a: float) -> float:
     """Wrap to the half-open interval (-180, 180]."""

@@ -220,7 +220,6 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class SweepReport:
-    grid: SweepGrid
     cells: tuple[SweepCell, ...]
     success_ratio: float
     counts: Mapping[str, int]
@@ -256,4 +255,4 @@ def sweep(
         cells.append(SweepCell(start.x, start.y, start.alpha, start.beta, kind, steps))
         counts[kind] = counts.get(kind, 0) + 1
     docked = counts.get(DOCKED, 0)
-    return SweepReport(grid, tuple(cells), docked / len(cells), counts)
+    return SweepReport(tuple(cells), docked / len(cells), counts)

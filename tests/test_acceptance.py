@@ -139,13 +139,14 @@ def test_criterion_4_rule_table_fidelity(capfd):
 
 
 def test_criterion_5_symmetry_suite(capfd):
+    cs = default_controllers()
     rng = random.Random(7)
     worst_t = worst_c = worst_p = 0.0
     for _ in range(200):
         x, alpha = rng.uniform(-120, 120), rng.uniform(-200, 200)
-        worst_t = max(worst_t, abs(flc_t(x, alpha) + flc_t(-x, -alpha)))
+        worst_t = max(worst_t, abs(flc_t(x, alpha, cs) + flc_t(-x, -alpha, cs)))
         gamma = rng.uniform(-70, 70)
-        worst_c = max(worst_c, abs(flc_c(gamma) + flc_c(-gamma)))
+        worst_c = max(worst_c, abs(flc_c(gamma, cs) + flc_c(-gamma, cs)))
     for _ in range(200):
         s = PlantState(
             rng.uniform(-100, 100), rng.uniform(0, 200),

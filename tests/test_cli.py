@@ -308,6 +308,35 @@ class TestScenarioFileErrors:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "verb, text, key",
+        [
+            pytest.param("run", '{"initial": {"x": 80, "y": 50, "alpha_deg": 0, '
+                         '"beta_deg": 0, "x": 500}}', "x", id="scenario"),
+            pytest.param("sweep", '{"axes": {"x": {"min": 0, "max": 0, "count": 1, "count": 9}, '
+                         '"y": {"min": 50, "max": 50, "count": 1}, '
+                         '"alpha": {"min": 0, "max": 0, "count": 1}, '
+                         '"beta": {"min": 0, "max": 0, "count": 1}}}', "count", id="grid"),
+            pytest.param("surface", None, "flc_c", id="controllers"),
+        ],
+    )
+    def test_repeated_key_names_file_and_key(self, tmp_path, verb, text, key):
+        # Without the check the last value wins: the scenario would start at x = 500.
+        p = tmp_path / "doc.json"
+        out = tmp_path / "out"
+        if verb == "surface":
+            bundled = json.dumps(BUNDLED_CONTROLLERS)
+            p.write_text(f'{bundled[:-1]}, "flc_c": {json.dumps(BUNDLED_CONTROLLERS["flc_c"])}}}',
+                         encoding="utf-8")
+            argv = ["surface", "flc_c", "--controllers", str(p), "--out", str(out)]
+        else:
+            p.write_text(text, encoding="utf-8")
+            argv = [verb, "--scenario", str(p), "--out", str(out)]
+        code, err = _run_cli(argv)
+        assert code == 1
+        assert err == [f"error: {p}: duplicate key {key!r}"]
+        assert not out.exists()
+
     def test_unwritable_out_dir(self, tmp_path, capsys):
         doc = write_doc(tmp_path, "s.json", scenario_doc(0.0, 50.0, 0.0, 0.0))
         blocker = tmp_path / "blocker"

@@ -121,16 +121,16 @@ class TestFlcT:
             flc_t(0.0, float("inf"), cs)
 
     @given(st.floats(-100, 100), st.floats(-180, 180))
-    def test_antisymmetry(self, x, alpha):
-        assert flc_t(-x, -alpha) == pytest.approx(-flc_t(x, alpha), abs=1e-9)
+    def test_antisymmetry(self, cs, x, alpha):
+        assert flc_t(-x, -alpha, cs) == pytest.approx(-flc_t(x, alpha, cs), abs=1e-9)
 
     @given(st.floats(-100, 100), st.floats(-180, 180))
-    def test_lipschitz_in_each_input(self, x, alpha):
+    def test_lipschitz_in_each_input(self, cs, x, alpha):
         h = 1e-4
         k = 8.0  # generous bound; interior slopes are well under 1 deg/unit
-        base = flc_t(x, alpha)
-        assert abs(flc_t(min(x + h, 100.0), alpha) - base) <= k * h + 1e-12
-        assert abs(flc_t(x, min(alpha + h, 180.0)) - base) <= k * h + 1e-12
+        base = flc_t(x, alpha, cs)
+        assert abs(flc_t(min(x + h, 100.0), alpha, cs) - base) <= k * h + 1e-12
+        assert abs(flc_t(x, min(alpha + h, 180.0), cs) - base) <= k * h + 1e-12
 
     def test_oracle_spot_checks(self, cs):
         rng = random.Random(3)
@@ -165,18 +165,18 @@ class TestFlcC:
             g += 0.5
 
     @given(st.floats(-60, 60))
-    def test_odd_function(self, gamma):
-        assert flc_c(-gamma) == pytest.approx(-flc_c(gamma), abs=1e-9)
+    def test_odd_function(self, cs, gamma):
+        assert flc_c(-gamma, cs) == pytest.approx(-flc_c(gamma, cs), abs=1e-9)
 
     @given(st.floats(-80, 80))
-    def test_range_with_clamping(self, gamma):
-        assert -30.0 <= flc_c(gamma) <= 30.0
+    def test_range_with_clamping(self, cs, gamma):
+        assert -30.0 <= flc_c(gamma, cs) <= 30.0
 
     @given(st.floats(-60, 60))
-    def test_lipschitz(self, gamma):
+    def test_lipschitz(self, cs, gamma):
         h = 1e-4
         k = 8.0
-        assert abs(flc_c(min(gamma + h, 60.0)) - flc_c(gamma)) <= k * h + 1e-12
+        assert abs(flc_c(min(gamma + h, 60.0), cs) - flc_c(gamma, cs)) <= k * h + 1e-12
 
 
 class TestCascade:
@@ -199,6 +199,19 @@ class TestCascade:
     def test_gamma_clamped_for_out_of_range_states(self, cs):
         out = cascade_step(PlantState(-100.0, 50.0, -90.0, -80.0), cs)
         assert out.gamma == 60.0
+
+
+def _swap_flc_t_inputs(doc):
+    """List flc_t's antecedents as X, A, a rule base that is valid on its
+    own: read positionally, flc_t(40, 0) would give -13.33, not 10.0."""
+    flc = doc["flc_t"]
+    flc["antecedents"].reverse()
+    for rule in flc["rules"]:
+        rule["when"].reverse()
+
+
+def _rename_flc_c_input(doc):
+    doc["flc_c"]["antecedents"][0]["name"] = "H"
 
 
 class TestPersistence:
@@ -225,6 +238,24 @@ class TestPersistence:
     def test_rejects_wrong_top_level_keys(self):
         with pytest.raises(UsageError):
             controllers_from_dict({"flc_t": {}})
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(_swap_flc_t_inputs, "flc_t.antecedents must be named ['A', 'X'] "
+                         "in that order, got ['X', 'A']", id="swapped"),
+            pytest.param(_rename_flc_c_input, "flc_c.antecedents must be named ['G'] "
+                         "in that order, got ['H']", id="renamed"),
+        ],
+    )
+    def test_inputs_bind_by_name(self, cs, tmp_path, edit, message):
+        doc = json.loads(controllers_to_json(cs))
+        edit(doc)
+        path = tmp_path / "ctl.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(UsageError) as info:
+            load_controllers(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_perturbed_document_changes_output(self, cs, tmp_path):
         doc = json.loads(controllers_to_json(cs))
