@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import html
 import json
 import math
 import sys
@@ -17,11 +18,10 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .controllers import ControllerSet, default_controllers, flc_c, flc_t, load_controllers
 from .errors import DegenerateFiringWarning, InputDomainError, UsageError
-from .fuzzy import json_number, load_json
+from .fuzzy import json_number, json_object, json_string, load_json
 from .plant import DOCKED, DockTolerance, PlantParams, PlantState
 from .simulation import (
     MODES,
@@ -56,20 +56,6 @@ _PARAM_FIELDS = {
 _TOL_FIELDS = {"x_tol": "x_tol", "y_tol": "y_tol", "alpha_tol_deg": "alpha_tol"}
 
 
-def _object(value, allowed, where: str, required=()) -> dict:
-    """``value`` as a JSON object whose keys all lie in ``allowed`` and
-    include every key in ``required``."""
-    if not isinstance(value, dict):
-        raise UsageError(f"{where} must be a JSON object, got {value!r}")
-    unknown = set(value).difference(allowed)
-    if unknown:
-        raise UsageError(f"unknown key(s) {sorted(unknown)} in {where}")
-    missing = set(required).difference(value)
-    if missing:
-        raise UsageError(f"{where} is missing {sorted(missing)}")
-    return value
-
-
 def _whole_number(value, where: str) -> int:
     """``value`` as a whole number of at least 1; a fraction is an error,
     not something to truncate."""
@@ -79,12 +65,6 @@ def _whole_number(value, where: str) -> int:
     return int(number)
 
 
-def _string(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise UsageError(f"{where} must be a JSON string, got {value!r}")
-    return value
-
-
 def _plant_settings(doc: dict, path: Path) -> tuple[PlantParams, DockTolerance, int]:
     """The params, tolerances and max_steps shared by scenario and grid
     documents."""
@@ -92,7 +72,7 @@ def _plant_settings(doc: dict, path: Path) -> tuple[PlantParams, DockTolerance, 
     for key, cls, fields in (("params", PlantParams, _PARAM_FIELDS),
                              ("tolerances", DockTolerance, _TOL_FIELDS)):
         where = f"{path}: {key}"
-        section = _object(doc.get(key, {}), fields, where)
+        section = json_object(doc.get(key, {}), fields, where, required=())
         values = {fields[k]: json_number(v, f"{where}.{k}") for k, v in section.items()}
         try:
             settings.append(cls(**values))
@@ -104,12 +84,12 @@ def _plant_settings(doc: dict, path: Path) -> tuple[PlantParams, DockTolerance, 
 def load_scenario_file(path: Path) -> Scenario:
     """Parse a scenario document; unknown keys are rejected, missing optional
     sections take the library defaults."""
-    doc = _object(load_json(path), _TOP_KEYS, str(path), ("initial",))
-    init = _object(doc["initial"], _INITIAL_KEYS, f"{path}: initial", _INITIAL_KEYS)
+    doc = json_object(load_json(path), _TOP_KEYS, str(path), ("initial",))
+    init = json_object(doc["initial"], _INITIAL_KEYS, f"{path}: initial")
     initial = PlantState(*(json_number(init[k], f"{path}: initial.{k}") for k in _INITIAL_KEYS))
     params, tolerances, max_steps = _plant_settings(doc, path)
-    mode = _string(doc.get("mode", "cascade"), f"{path}: mode")
-    label = _string(doc.get("label", ""), f"{path}: label")
+    mode = json_string(doc.get("mode", "cascade"), f"{path}: mode")
+    label = json_string(doc.get("label", ""), f"{path}: label")
     try:
         return Scenario(initial, params, tolerances, max_steps, mode, label)
     except UsageError as exc:
@@ -171,7 +151,7 @@ def write_trajectory_svg(path: Path, label: str, trajectories: Sequence[Trajecto
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
-        f"<title>{escape(label or 'trajectory')}</title>",
+        f"<title>{html.escape(label or 'trajectory', quote=False)}</title>",
         '<rect width="100%" height="100%" fill="white"/>',
     ]
     mx, my = to_px(0.0, 0.0)
@@ -248,11 +228,11 @@ _AXIS_NAMES = ("x", "y", "alpha", "beta")
 
 
 def load_grid_file(path: Path) -> tuple[SweepGrid, PlantParams, DockTolerance, int]:
-    doc = _object(load_json(path), _GRID_KEYS, str(path), ("axes",))
-    axes = _object(doc["axes"], _AXIS_NAMES, f"{path}: axes", _AXIS_NAMES)
+    doc = json_object(load_json(path), _GRID_KEYS, str(path), ("axes",))
+    axes = json_object(doc["axes"], _AXIS_NAMES, f"{path}: axes")
     specs = {}
     for name in _AXIS_NAMES:
-        ax = _object(axes[name], _AXIS_KEYS, f"{path}: axes.{name}", _AXIS_KEYS)
+        ax = json_object(axes[name], _AXIS_KEYS, f"{path}: axes.{name}")
         lo, hi = (json_number(ax[k], f"{path}: axes.{name}.{k}") for k in ("min", "max"))
         count = _whole_number(ax["count"], f"{path}: axes.{name}.count")
         # Sampling the axis here makes an overflowing one fail at load,
@@ -262,7 +242,7 @@ def load_grid_file(path: Path) -> tuple[SweepGrid, PlantParams, DockTolerance, i
             specs[name].values()
         except UsageError as exc:
             raise UsageError(f"{path}: axes.{name}: {exc}") from exc
-    _string(doc.get("label", ""), f"{path}: label")
+    json_string(doc.get("label", ""), f"{path}: label")
     return SweepGrid(**specs), *_plant_settings(doc, path)
 
 

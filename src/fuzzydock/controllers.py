@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -24,6 +23,7 @@ from .fuzzy import (
     MembershipFunction,
     RuleBase,
     infer,
+    json_object,
     load_json,
     rulebase_from_dict,
     rulebase_to_dict,
@@ -173,8 +173,7 @@ def controllers_to_json(cs: ControllerSet) -> str:
 
 
 def controllers_from_dict(doc: dict, where: str = "controller document") -> ControllerSet:
-    if set(doc) != {"flc_t", "flc_c"}:
-        raise UsageError(f"{where} must have exactly the keys flc_t, flc_c")
+    json_object(doc, _INPUTS, where)
     rule_bases = {}
     for key, names in _INPUTS.items():
         rb = rulebase_from_dict(doc[key], f"{where}: {key}")
@@ -194,4 +193,4 @@ def load_controllers(path: str | Path) -> ControllerSet:
 
 def bundled_controllers_path() -> Path:
     """Path of the JSON document mirroring the built-in controller pair."""
-    return Path(resources.files("fuzzydock").joinpath("data/controllers.json"))
+    return Path(__file__).with_name("data") / "controllers.json"

@@ -391,8 +391,8 @@ def infer(rb: RuleBase, inputs: Sequence[float]) -> float:
 # -- JSON (de)serialization --------------------------------------------------
 # Plain-dict codecs so controller definitions can live in version-controlled
 # JSON documents and tests can perturb membership designs without recompiling.
-# ``load_json`` and ``json_number`` are the one file reader and the one number
-# check for every document the CLI reads: controllers, scenarios and grids.
+# ``load_json`` reads, and the ``json_*`` functions check, every document the
+# CLI reads: controllers, scenarios and grids.
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object's pairs as a dict; a key given twice is a UsageError
@@ -436,6 +436,32 @@ def json_number(value, where: str) -> float:
     raise UsageError(f"{where} must be a finite number, got {value!r}")
 
 
+def json_object(value, allowed, where: str, required=None) -> dict:
+    """``value`` as a JSON object whose keys all lie in ``allowed`` and
+    include every key in ``required`` (by default, every key in ``allowed``)."""
+    if not isinstance(value, dict):
+        raise UsageError(f"{where} must be a JSON object, got {value!r}")
+    unknown = set(value).difference(allowed)
+    if unknown:
+        raise UsageError(f"{where}: unknown key(s) {sorted(unknown)}")
+    missing = set(allowed if required is None else required).difference(value)
+    if missing:
+        raise UsageError(f"{where}: missing key(s) {sorted(missing)}")
+    return value
+
+
+def json_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise UsageError(f"{where} must be a JSON list, got {value!r}")
+    return value
+
+
+def json_string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise UsageError(f"{where} must be a JSON string, got {value!r}")
+    return value
+
+
 def variable_to_dict(var: LinguisticVariable) -> dict:
     return {
         "name": var.name,
@@ -448,30 +474,27 @@ def variable_to_dict(var: LinguisticVariable) -> dict:
 
 
 def _numbers(values, where: str) -> tuple[float, ...]:
-    if not isinstance(values, list):
-        raise UsageError(f"{where} must be a list of numbers, got {values!r}")
-    return tuple(json_number(v, where) for v in values)
+    return tuple(json_number(v, where) for v in json_list(values, where))
 
 
 def variable_from_dict(doc: dict, where: str = "variable") -> LinguisticVariable:
-    try:
-        shapes = [
-            (t["label"], t["kind"], _numbers(t["breakpoints"], f"{where}.terms[{i}].breakpoints"))
-            for i, t in enumerate(doc["terms"])
-        ]
-        universe = _numbers(doc["universe"], f"{where}.universe")
-        if len(universe) != 2:
-            raise UsageError(f"{where}.universe must hold two numbers, got {len(universe)}")
-        name = doc["name"]
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"malformed variable document {where}: {exc}") from exc
+    json_object(doc, ("name", "universe", "terms"), where)
+    name = json_string(doc["name"], f"{where}.name")
+    universe = _numbers(doc["universe"], f"{where}.universe")
+    if len(universe) != 2:
+        raise UsageError(f"{where}.universe must hold two numbers, got {len(universe)}")
+    shapes = []
+    for i, term in enumerate(json_list(doc["terms"], f"{where}.terms")):
+        at = f"{where}.terms[{i}]"
+        json_object(term, ("label", "kind", "breakpoints"), at)
+        shapes.append((json_string(term["label"], f"{at}.label"),
+                       json_string(term["kind"], f"{at}.kind"),
+                       _numbers(term["breakpoints"], f"{at}.breakpoints")))
     try:
         terms = tuple((label, MembershipFunction(kind, points)) for label, kind, points in shapes)
         return LinguisticVariable(name, universe, terms)
     except UsageError as exc:
         raise UsageError(f"{where}: {exc}") from exc
-    except TypeError as exc:
-        raise UsageError(f"malformed variable document {where}: {exc}") from exc
 
 
 def rulebase_to_dict(rb: RuleBase) -> dict:
@@ -483,18 +506,20 @@ def rulebase_to_dict(rb: RuleBase) -> dict:
 
 
 def rulebase_from_dict(doc: dict, where: str = "rule base") -> RuleBase:
+    json_object(doc, ("antecedents", "consequent", "rules"), where)
+    antecedents = tuple(
+        variable_from_dict(d, f"{where}.antecedents[{i}]")
+        for i, d in enumerate(json_list(doc["antecedents"], f"{where}.antecedents"))
+    )
+    consequent = variable_from_dict(doc["consequent"], f"{where}.consequent")
+    rules = []
+    for i, rule in enumerate(json_list(doc["rules"], f"{where}.rules")):
+        at = f"{where}.rules[{i}]"
+        json_object(rule, ("when", "then"), at)
+        when = json_list(rule["when"], f"{at}.when")
+        rules.append((tuple(json_string(label, f"{at}.when[{j}]") for j, label in enumerate(when)),
+                      json_string(rule["then"], f"{at}.then")))
     try:
-        antecedents = tuple(
-            variable_from_dict(d, f"{where}.antecedents[{i}]")
-            for i, d in enumerate(doc["antecedents"])
-        )
-        consequent = variable_from_dict(doc["consequent"], f"{where}.consequent")
-        rules = tuple((tuple(r["when"]), r["then"]) for r in doc["rules"])
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"malformed rule base document {where}: {exc}") from exc
-    try:
-        return RuleBase(antecedents, consequent, rules)
+        return RuleBase(antecedents, consequent, tuple(rules))
     except UsageError as exc:
         raise UsageError(f"{where}: {exc}") from exc
-    except TypeError as exc:  # an unhashable label in a rule
-        raise UsageError(f"malformed rule base document {where}: {exc}") from exc

@@ -105,9 +105,15 @@ def run(scenario: Scenario, controllers: ControllerSet | None = None):
     # the loop below never looks at the mode.
     if scenario.mode == "cascade":
         control = partial(cascade_step, controllers=cs)
+        theta_max = params.theta_max  # the wheel saturates; the sample keeps the command
 
         def advance(state: PlantState, out: CascadeOutput) -> PlantState:
-            return step(state, out.theta, params)
+            theta = out.theta
+            if theta > theta_max:
+                theta = theta_max
+            elif theta < -theta_max:
+                theta = -theta_max
+            return step(state, theta, params)
     else:
         # The reference vehicle steers nothing (theta 0); gamma is kept as
         # the commanded jump so both modes log comparable columns.

@@ -137,6 +137,14 @@ class TestRunCommand:
         text = (tmp_path / "single" / "trajectory.svg").read_text(encoding="utf-8")
         assert text.count("<polyline") == 1
 
+    def test_svg_title_escapes_the_label(self, tmp_path):
+        label = "a&b<c>\"d'"
+        doc = write_doc(tmp_path, "s.json", scenario_doc(0.0, 50.0, 0.0, 0.0, label=label))
+        main(["run", "--scenario", str(doc), "--out", str(tmp_path)])
+        text = (tmp_path / "trajectory.svg").read_text(encoding="utf-8")
+        assert "<title>a&amp;b&lt;c&gt;\"d'</title>" in text
+        assert ET.fromstring(text).find("{http://www.w3.org/2000/svg}title").text == label
+
     def test_failure_outcome_exits_two(self, tmp_path):
         doc = write_doc(
             tmp_path, "s.json", scenario_doc(80.0, 180.0, 60.0, 30.0, max_steps=10)
@@ -257,11 +265,14 @@ class TestScenarioFileErrors:
             ("run", "tolerances", {"x_tol": -1.0}),
             ("run", "label", ["a"]),
             ("run", "mode", 5),
+            ("run", "frobnicate", 1),
+            ("run", "initial.z", 0.0),
             ("sweep", "label", 5),
             ("sweep", "axes", 5),
             ("sweep", "axes.x", [0, 0, 1]),
             ("sweep", "axes.x.min", "a"),
             ("sweep", "axes.x.min", float("nan")),
+            ("sweep", "axes.x.step", 1),
             ("sweep", "max_steps", "x"),
             ("sweep", "params", {"v": None}),
             ("sweep", "params", {"theta_max_deg": 120}),
@@ -461,13 +472,24 @@ class TestSurfaceCommand:
 BUNDLED_CONTROLLERS = json.loads(bundled_controllers_path().read_text(encoding="utf-8"))
 
 
-def _with_rule_label(label):
+_DELETE = object()
+
+
+def _edited(path, value):
+    """The bundled controller document as bytes, with the value at the dotted
+    ``path`` (list indices as numbers) set to ``value``, or deleted for
+    ``_DELETE``."""
     doc = copy.deepcopy(BUNDLED_CONTROLLERS)
-    doc["flc_c"]["rules"][0]["then"] = label
+    *parents, last = (int(k) if k.isdigit() else k for k in path.split("."))
+    target = doc
+    for k in parents:
+        target = target[k]
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    # json.dumps writes NaN and Infinity, which json.loads accepts.
     return json.dumps(doc).encode("utf-8")
-
-
-UNHASHABLE_RULE_LABEL = _with_rule_label(["PB"])
 
 
 def _stretched(variable, lo, hi):
@@ -670,7 +692,6 @@ WHOLE_NUMBER_VALUES = {
     "count": st.integers(-1, 3) | st.floats(-1.0, 3.0),
     "max_steps": st.integers(-1, 60) | st.floats(-1.0, 60.0),
 }
-_DELETE = object()
 
 SCENARIO_DOCUMENT = {
     "label": "probe",
@@ -789,42 +810,76 @@ class TestUsage:
 
     @pytest.mark.parametrize("verb", ["surface", "run"])
     @pytest.mark.parametrize(
-        "breakpoint, universe, raw",
+        "raw, message",
         [
-            pytest.param(None, None, b'{"flc_t": "\xff"}', id="not-utf8"),
-            pytest.param("a", None, None, id="string-breakpoint"),
-            pytest.param(None, [-180.0], None, id="one-bound-universe"),
-            pytest.param(float("nan"), None, None, id="nan-breakpoint"),
-            pytest.param(float("inf"), None, None, id="infinite-breakpoint"),
-            pytest.param(None, None, UNHASHABLE_RULE_LABEL, id="list-as-rule-label"),
+            pytest.param(b'{"flc_t": "\xff"}', None, id="not-utf8"),
+            pytest.param(_edited("flc_t.antecedents.0.terms.1.breakpoints.1", "a"),
+                         "flc_t.antecedents[0].terms[1].breakpoints must be a finite number",
+                         id="string-breakpoint"),
+            pytest.param(_edited("flc_t.antecedents.0.universe", [-180.0]),
+                         "flc_t.antecedents[0].universe must hold two numbers",
+                         id="one-bound-universe"),
+            pytest.param(_edited("flc_t.antecedents.0.terms.1.breakpoints.1", float("nan")),
+                         "flc_t.antecedents[0].terms[1].breakpoints must be a finite number",
+                         id="nan-breakpoint"),
+            pytest.param(_edited("flc_t.antecedents.0.terms.1.breakpoints.1", float("inf")),
+                         "flc_t.antecedents[0].terms[1].breakpoints must be a finite number",
+                         id="infinite-breakpoint"),
+            pytest.param(_edited("flc_c.rules.0.then", ["PB"]),
+                         "flc_c.rules[0].then must be a JSON string", id="list-as-rule-label"),
+            # An unknown key at each of the five levels; a "weight" key that
+            # loaded would leave every rule at full weight.
+            pytest.param(_edited("flc_s", {}), "unknown key(s) ['flc_s']",
+                         id="unknown-key-document"),
+            pytest.param(_edited("flc_t.hedge", "very"), "flc_t: unknown key(s) ['hedge']",
+                         id="unknown-key-rule-base"),
+            pytest.param(_edited("flc_c.consequent.unit", "deg"),
+                         "flc_c.consequent: unknown key(s) ['unit']", id="unknown-key-variable"),
+            pytest.param(_edited("flc_t.antecedents.1.terms.0.colour", "red"),
+                         "flc_t.antecedents[1].terms[0]: unknown key(s) ['colour']",
+                         id="unknown-key-term"),
+            pytest.param(_edited("flc_c.rules.3.weight", 0.0),
+                         "flc_c.rules[3]: unknown key(s) ['weight']", id="unknown-key-rule"),
+            pytest.param(_edited("flc_c.antecedents.0.name", ["G"]),
+                         "flc_c.antecedents[0].name must be a JSON string", id="list-as-name"),
+            pytest.param(_edited("flc_t.consequent.terms.2.label", 3),
+                         "flc_t.consequent.terms[2].label must be a JSON string",
+                         id="number-as-label"),
+            pytest.param(_edited("flc_c.consequent.terms.0.kind", None),
+                         "flc_c.consequent.terms[0].kind must be a JSON string",
+                         id="null-as-kind"),
+            pytest.param(_edited("flc_t.rules.2.when.1", 7),
+                         "flc_t.rules[2].when[1] must be a JSON string", id="number-in-when"),
+            pytest.param(_edited("flc_t.antecedents.1.terms", {"LE": [-100, -40]}),
+                         "flc_t.antecedents[1].terms must be a JSON list", id="object-as-terms"),
+            pytest.param(_edited("flc_c.rules", "identity"),
+                         "flc_c.rules must be a JSON list", id="string-as-rules"),
+            pytest.param(_edited("flc_t.rules.2.when", 7),
+                         "flc_t.rules[2].when must be a JSON list, got 7", id="number-as-when"),
+            pytest.param(_edited("flc_c.antecedents.0.terms.0.label", _DELETE),
+                         "flc_c.antecedents[0].terms[0]: missing key(s) ['label']",
+                         id="missing-label"),
+            pytest.param(_edited("flc_c", _DELETE), "missing key(s) ['flc_c']",
+                         id="missing-rule-base"),
         ],
     )
     def test_malformed_controller_document_gives_one_error_line(
-        self, tmp_path, capsys, verb, breakpoint, universe, raw
+        self, tmp_path, verb, raw, message
     ):
         bad = tmp_path / "ctl.json"
-        if raw is not None:
-            bad.write_bytes(raw)
-        else:
-            doc = json.loads(controllers_to_json(ControllerSet(build_flc_t(), build_flc_c())))
-            alpha = doc["flc_t"]["antecedents"][0]
-            if breakpoint is not None:
-                alpha["terms"][1]["breakpoints"][1] = breakpoint
-            if universe is not None:
-                alpha["universe"] = universe
-            # json.dumps writes NaN and Infinity, which json.loads accepts.
-            bad.write_text(json.dumps(doc), encoding="utf-8")
+        bad.write_bytes(raw)
         out = tmp_path / "out"
         if verb == "surface":
             argv = ["surface", "flc_t", "--out", str(out)]
         else:
             scenario = write_doc(tmp_path, "s.json", scenario_doc(0.0, 50.0, 0.0, 0.0))
             argv = ["run", "--scenario", str(scenario), "--out", str(out)]
-        code = main([*argv, "--controllers", str(bad)])
-        err = capsys.readouterr().err
+        code, err = _run_cli([*argv, "--controllers", str(bad)])
         assert code == 1
-        assert err.startswith("error:")
-        assert err.count("\n") == 1
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert err[0].count(str(bad)) == 1
+        if message is not None:
+            assert err[0].startswith(f"error: {bad}: {message}"), err
 
     def test_module_entry_point(self, tmp_path):
         doc = write_doc(tmp_path, "s.json", scenario_doc(-60.0, 120.0, 30.0, 0.0))
@@ -835,6 +890,21 @@ class TestUsage:
         )
         assert proc.returncode == 0, proc.stderr
         assert "docked" in proc.stdout
+
+    def test_cli_import_loads_no_unused_packages(self):
+        # xml.sax.saxutils alone pulls in urllib.request, http.client and email.
+        src = Path(cli.__file__).resolve().parent.parent
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); import fuzzydock.cli; "
+                "print(*sys.modules)")
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        unused = [
+            name for name in proc.stdout.split()
+            if name.split(".")[0] in ("xml", "email", "http") or name == "urllib.request"
+            or name.startswith("importlib.resources")
+        ]
+        assert unused == []
 
 
 # -- Artifact bytes -------------------------------------------------------------

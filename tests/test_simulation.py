@@ -5,7 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzydock.controllers import CascadeOutput, ControllerSet, default_controllers
 from fuzzydock.errors import UsageError
-from fuzzydock.plant import DOCKED, ERROR, INSUFFICIENT_SPACE, TIMEOUT, PlantParams, PlantState
+from fuzzydock.plant import (
+    DOCKED,
+    ERROR,
+    INSUFFICIENT_SPACE,
+    TIMEOUT,
+    PlantParams,
+    PlantState,
+    step,
+)
 from fuzzydock.simulation import (
     AxisSpec,
     Scenario,
@@ -72,6 +80,21 @@ class TestRun:
         assert trajectory.outcome.kind == ERROR
         assert trajectory.samples
         assert trajectory.outcome.steps == len(trajectory.samples) - 1
+
+    # The bundled flc_c commands up to |theta| = 26.67, and above 20 at the
+    # first step of every yard case.
+    @pytest.mark.parametrize("theta_max", [5.0, 10.0, 20.0])
+    @pytest.mark.parametrize("initial", YARD_CASES, ids=["right_far", "left_high", "left_low"])
+    def test_steering_saturates_at_theta_max(self, initial, theta_max):
+        params = PlantParams(theta_max=theta_max)
+        trajectory = run(Scenario(initial, params=params))
+        assert trajectory.outcome.kind != ERROR
+        first = trajectory.samples[0]
+        # The sample keeps the command; the plant gets it clamped.
+        assert trajectory.samples[1].state == step(
+            first.state, max(-theta_max, min(first.theta, theta_max)), params
+        )
+        assert abs(first.theta) > theta_max
 
     def test_invalid_scenario_rejected(self):
         with pytest.raises(UsageError):
