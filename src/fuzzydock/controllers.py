@@ -112,12 +112,25 @@ def build_flc_c(peaks: dict[str, tuple[float, ...]] | None = None) -> RuleBase:
     return RuleBase((var_g,), var_s, rules)
 
 
+# The antecedent names each controller's inputs bind to, in the order
+# ``flc_t`` and ``flc_c`` pass their inputs to ``infer``.
+_INPUTS = {"flc_t": ("A", "X"), "flc_c": ("G",)}
+
+
 @dataclass(frozen=True)
 class ControllerSet:
-    """The pair of rule bases that make up one complete policy."""
+    """The pair of rule bases that make up one complete policy; each must
+    read the antecedents named in ``_INPUTS``, in that order."""
 
     flc_t: RuleBase
     flc_c: RuleBase
+
+    def __post_init__(self) -> None:
+        for key, names in _INPUTS.items():
+            got = tuple(var.name for var in getattr(self, key).antecedents)
+            if got != names:
+                raise UsageError(f"{key}.antecedents must be named {list(names)} "
+                                 f"in that order, got {list(got)}")
 
 
 @functools.cache
@@ -162,11 +175,6 @@ def cascade_step(state, controllers: ControllerSet) -> CascadeOutput:
 
 # -- Persistence --------------------------------------------------------------
 
-# The antecedent names each controller's inputs bind to, in the order
-# ``flc_t`` and ``flc_c`` pass their inputs to ``infer``.
-_INPUTS = {"flc_t": ("A", "X"), "flc_c": ("G",)}
-
-
 def controllers_to_json(cs: ControllerSet) -> str:
     doc = {"flc_t": rulebase_to_dict(cs.flc_t), "flc_c": rulebase_to_dict(cs.flc_c)}
     return json.dumps(doc, indent=2) + "\n"
@@ -174,17 +182,11 @@ def controllers_to_json(cs: ControllerSet) -> str:
 
 def controllers_from_dict(doc: dict, where: str = "controller document") -> ControllerSet:
     json_object(doc, _INPUTS, where)
-    rule_bases = {}
-    for key, names in _INPUTS.items():
-        rb = rulebase_from_dict(doc[key], f"{where}: {key}")
-        got = tuple(var.name for var in rb.antecedents)
-        if got != names:
-            raise UsageError(
-                f"{where}: {key}.antecedents must be named {list(names)} in that order, "
-                f"got {list(got)}"
-            )
-        rule_bases[key] = rb
-    return ControllerSet(**rule_bases)
+    rule_bases = {key: rulebase_from_dict(doc[key], f"{where}: {key}") for key in _INPUTS}
+    try:
+        return ControllerSet(**rule_bases)
+    except UsageError as exc:
+        raise UsageError(f"{where}: {exc}") from exc
 
 
 def load_controllers(path: str | Path) -> ControllerSet:

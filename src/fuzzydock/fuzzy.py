@@ -412,7 +412,7 @@ def load_json(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
+        raise UsageError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -474,7 +474,7 @@ def variable_to_dict(var: LinguisticVariable) -> dict:
 
 
 def _numbers(values, where: str) -> tuple[float, ...]:
-    return tuple(json_number(v, where) for v in json_list(values, where))
+    return tuple(json_number(v, f"{where}[{i}]") for i, v in enumerate(json_list(values, where)))
 
 
 def variable_from_dict(doc: dict, where: str = "variable") -> LinguisticVariable:

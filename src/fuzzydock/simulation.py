@@ -11,6 +11,7 @@ Modes:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Mapping, NamedTuple
@@ -59,6 +60,10 @@ class Scenario:
         self.initial.require_finite()
         if self.initial.y < 0:
             raise UsageError(f"initial.y must be >= 0, got {self.initial.y}")
+        # No terminal check bounds y, which moves at most v a step. The int
+        # budget is compared, never converted, so a huge one cannot overflow.
+        if self.max_steps > (sys.float_info.max - self.initial.y) / (2 * self.params.v):
+            raise UsageError(f"initial.y + 2 * max_steps * v must be finite, got y={self.initial.y}")
         if abs(self.initial.x) > 100:
             raise UsageError(f"initial.x must be within [-100, 100], got {self.initial.x}")
         if abs(self.initial.alpha) > 180:
@@ -127,21 +132,14 @@ def run(scenario: Scenario, controllers: ControllerSet | None = None):
     samples: list[TrajectorySample] = []
     state = scenario.initial
     t = 0
-    try:
-        while True:
-            kind = classify(state, t, tolerances, max_steps)
-            out = control(state)
-            samples.append(TrajectorySample(t, state, *out))
-            if kind != LIVE:
-                outcome = Outcome(kind, state, t)
-                break
-            state = advance(state, out)
-            t += 1
-    except (InputDomainError, UsageError):
-        if not samples:
-            samples.append(TrajectorySample(0, state, 0.0, 0.0, 0.0))
-        outcome = Outcome(ERROR, state, len(samples) - 1)
-    return Trajectory(tuple(samples), outcome, scenario.mode)
+    while True:
+        kind = classify(state, t, tolerances, max_steps)
+        out = control(state)
+        samples.append(TrajectorySample(t, state, *out))
+        if kind != LIVE:
+            return Trajectory(tuple(samples), Outcome(kind, state, t), scenario.mode)
+        state = advance(state, out)
+        t += 1
 
 
 @dataclass(frozen=True)
@@ -253,11 +251,11 @@ def sweep(
     for start in grid.cells():
         try:
             scenario = Scenario(start, params, tolerances, max_steps, "cascade")
-            trajectory = run(scenario, controllers)
-            kind = trajectory.outcome.kind
-            steps = trajectory.outcome.steps
         except (InputDomainError, UsageError):
             kind, steps = ERROR, 0
+        else:
+            outcome = run(scenario, controllers).outcome
+            kind, steps = outcome.kind, outcome.steps
         cells.append(SweepCell(start.x, start.y, start.alpha, start.beta, kind, steps))
         counts[kind] = counts.get(kind, 0) + 1
     docked = counts.get(DOCKED, 0)

@@ -207,9 +207,10 @@ class TestRunCommand:
 
 class TestScenarioFileErrors:
     def test_missing_file(self, tmp_path, capsys):
-        code = main(["run", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
+        missing = tmp_path / "nope.json"
+        code = main(["run", "--scenario", str(missing), "--out", str(tmp_path)])
         assert code == 1
-        assert "cannot read" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {missing}: cannot read: No such file or directory\n"
 
     def test_malformed_json_reports_line_and_column(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -297,6 +298,18 @@ class TestScenarioFileErrors:
         assert err.startswith(f"error: {p}: ")
         assert err.count("\n") == 1
 
+    def test_start_whose_budget_can_carry_y_past_the_float_range_is_rejected(self, tmp_path):
+        # Backing away at full speed, y would leave the float range on the
+        # first step, and outcome.json would hold Infinity, which is not JSON.
+        doc = scenario_doc(0.0, 1.7e308, 180.0, 0.0, params={"v": 1e308, "l_c": 1e308, "l_t": 1e308})
+        del doc["max_steps"], doc["mode"], doc["label"]
+        p = write_doc(tmp_path, "far.json", doc)
+        out = tmp_path / "out"
+        code, err = _run_cli(["run", "--scenario", str(p), "--out", str(out)])
+        assert code == 1
+        assert err == [f"error: {p}: initial.y + 2 * max_steps * v must be finite, got y=1.7e+308"]
+        assert not out.exists()
+
     def test_zero_tolerances_are_accepted(self, tmp_path):
         doc = scenario_doc(
             0.0, 30.0, 0.0, 0.0, tolerances={"x_tol": 0, "y_tol": 0, "alpha_tol_deg": 0}
@@ -306,17 +319,18 @@ class TestScenarioFileErrors:
         assert (code, err) == (0, [])
 
     @pytest.mark.parametrize(
-        "content",
-        [b"\xff\xfe{}", b'{"initial": {"x": 1' + b"0" * 5000 + b"}}"],
+        "content, message",
+        [(b"\xff\xfe{}", "cannot read: 'utf-8' codec can't decode"),
+         (b'{"initial": {"x": 1' + b"0" * 5000 + b"}}", "")],
         ids=["not-utf8", "huge-integer"],
     )
-    def test_unparseable_file_gives_one_error_line(self, tmp_path, capsys, content):
+    def test_unparseable_file_gives_one_error_line(self, tmp_path, capsys, content, message):
         p = tmp_path / "s.json"
         p.write_bytes(content)
         code = main(["run", "--scenario", str(p), "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error:")
+        assert err.startswith(f"error: {p}: {message}")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
@@ -812,19 +826,20 @@ class TestUsage:
     @pytest.mark.parametrize(
         "raw, message",
         [
-            pytest.param(b'{"flc_t": "\xff"}', None, id="not-utf8"),
+            pytest.param(b'{"flc_t": "\xff"}', "cannot read: 'utf-8' codec can't decode",
+                         id="not-utf8"),
             pytest.param(_edited("flc_t.antecedents.0.terms.1.breakpoints.1", "a"),
-                         "flc_t.antecedents[0].terms[1].breakpoints must be a finite number",
-                         id="string-breakpoint"),
+                         "flc_t.antecedents[0].terms[1].breakpoints[1] must be a finite number, "
+                         "got 'a'", id="string-breakpoint"),
             pytest.param(_edited("flc_t.antecedents.0.universe", [-180.0]),
                          "flc_t.antecedents[0].universe must hold two numbers",
                          id="one-bound-universe"),
             pytest.param(_edited("flc_t.antecedents.0.terms.1.breakpoints.1", float("nan")),
-                         "flc_t.antecedents[0].terms[1].breakpoints must be a finite number",
-                         id="nan-breakpoint"),
+                         "flc_t.antecedents[0].terms[1].breakpoints[1] must be a finite number, "
+                         "got nan", id="nan-breakpoint"),
             pytest.param(_edited("flc_t.antecedents.0.terms.1.breakpoints.1", float("inf")),
-                         "flc_t.antecedents[0].terms[1].breakpoints must be a finite number",
-                         id="infinite-breakpoint"),
+                         "flc_t.antecedents[0].terms[1].breakpoints[1] must be a finite number, "
+                         "got inf", id="infinite-breakpoint"),
             pytest.param(_edited("flc_c.rules.0.then", ["PB"]),
                          "flc_c.rules[0].then must be a JSON string", id="list-as-rule-label"),
             # An unknown key at each of the five levels; a "weight" key that
@@ -878,8 +893,7 @@ class TestUsage:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert err[0].count(str(bad)) == 1
-        if message is not None:
-            assert err[0].startswith(f"error: {bad}: {message}"), err
+        assert err[0].startswith(f"error: {bad}: {message}"), err
 
     def test_module_entry_point(self, tmp_path):
         doc = write_doc(tmp_path, "s.json", scenario_doc(-60.0, 120.0, 30.0, 0.0))

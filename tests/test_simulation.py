@@ -71,15 +71,12 @@ class TestRun:
         assert trajectory.outcome.kind == TIMEOUT
         assert trajectory.outcome.steps == 10
 
-    def test_controller_failure_becomes_error_outcome(self):
+    def test_controller_set_with_wrong_inputs_cannot_be_built(self):
         cs = default_controllers()
-        # Single-input rule base in the two-input slot: inference raises on
-        # arity, and the runner must fold that into an error outcome.
-        swapped = ControllerSet(cs.flc_c, cs.flc_c)
-        trajectory = run(Scenario(PlantState(10.0, 40.0, 0.0, 0.0)), swapped)
-        assert trajectory.outcome.kind == ERROR
-        assert trajectory.samples
-        assert trajectory.outcome.steps == len(trajectory.samples) - 1
+        # A single-input rule base in the two-input slot is rejected when the
+        # set is built, so no run can reach inference with it.
+        with pytest.raises(UsageError, match=r"^flc_t\.antecedents must be named \['A', 'X'\]"):
+            ControllerSet(cs.flc_c, cs.flc_c)
 
     # The bundled flc_c commands up to |theta| = 26.67, and above 20 at the
     # first step of every yard case.
@@ -105,6 +102,15 @@ class TestRun:
             Scenario(PlantState(0.0, 5.0, 0.0, 0.0), max_steps=0)
         with pytest.raises(UsageError):
             Scenario(PlantState(200.0, 5.0, 0.0, 0.0))
+
+    def test_step_budget_that_can_carry_y_past_the_float_range_rejected(self):
+        huge = PlantParams(v=1e308, l_c=1e308, l_t=1e308)
+        with pytest.raises(UsageError, match="must be finite"):
+            Scenario(PlantState(0.0, 1.7e308, 180.0, 0.0), params=huge)
+        # A budget too large to convert to a float is compared, not converted.
+        with pytest.raises(UsageError, match="must be finite"):
+            Scenario(PlantState(0.0, 5.0, 0.0, 0.0), max_steps=10**400)
+        assert Scenario(PlantState(0.0, 5.0, 0.0, 0.0), max_steps=10**300).max_steps == 10**300
 
     @given(
         st.floats(-60, 60),
